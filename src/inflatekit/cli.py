@@ -267,17 +267,20 @@ def cmd_simulate(args) -> int:
 
 def cmd_mesh_info(args) -> int:
     mesh = load_mesh(args.mesh)
+    # enclosed_volume finds the boundary once and reports it when open
+    try:
+        volume, boundary = enclosed_volume(mesh), []
+    except TopologyError as exc:
+        volume, boundary = None, exc.boundary_edges
     info = {
         "n_vertices": mesh.n_vertices,
         "n_faces": mesh.n_faces,
-        "watertight": mesh.is_watertight,
-        "n_boundary_edges": len(mesh.boundary_edges()),
+        "watertight": not boundary,
+        "n_boundary_edges": len(boundary),
     }
-    if mesh.is_watertight:
-        info["volume_m3"] = enclosed_volume(mesh)
-        info["equivalent_radius_m"] = (3.0 * info["volume_m3"] / (4 * math.pi)) ** (
-            1.0 / 3.0
-        )
+    if volume is not None:
+        info["volume_m3"] = volume
+        info["equivalent_radius_m"] = (3.0 * volume / (4 * math.pi)) ** (1.0 / 3.0)
     print(json.dumps(info, indent=2))
     return EXIT_OK
 

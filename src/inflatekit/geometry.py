@@ -11,12 +11,13 @@ comments. All lengths in meters.
 
 from __future__ import annotations
 
-import heapq
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
     DegenerateFitError,
@@ -69,14 +70,17 @@ class TriMesh:
         return len(self.faces)
 
     def boundary_edges(self):
-        """Directed edges not matched by an opposite twin.
+        """Directed edges not matched by an opposite twin, sorted.
 
         Empty result means the mesh is watertight and consistently oriented.
         """
-        f = self.faces
-        edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-        fwd = set(map(tuple, edges.tolist()))
-        return sorted(e for e in fwd if (e[1], e[0]) not in fwd)
+        n = self.n_vertices
+        a, b = _directed_edges(self.faces)
+        # a*n + b orders keys as (a, b) pairs; unique drops repeated edges
+        keys = np.unique(a * n + b)
+        a, b = np.divmod(keys, n)
+        open_ = ~np.isin(b * n + a, keys, assume_unique=True)
+        return list(zip(a[open_].tolist(), b[open_].tolist()))
 
     @property
     def is_watertight(self) -> bool:
@@ -85,6 +89,11 @@ class TriMesh:
     def with_vertices(self, vertices: np.ndarray) -> "TriMesh":
         """Same connectivity, new vertex positions."""
         return TriMesh(vertices=vertices, faces=self.faces)
+
+
+def _directed_edges(faces: np.ndarray):
+    """Tail and head vertex of every face edge, (0,1), (1,2), (2,0) per face."""
+    return faces.ravel(), faces[:, [1, 2, 0]].ravel()
 
 
 @dataclass(frozen=True)
@@ -110,46 +119,96 @@ class SurfacePatch:
 
 
 def load_mesh(path) -> TriMesh:
-    """Load an OBJ file; polygons with more than 3 vertices are fanned."""
+    """Load an OBJ file; polygons with more than 3 vertices are fanned.
+
+    One pass over the lines collects the vertex and face tokens, which are
+    then converted in bulk.  Errors name the first offending line, as a
+    line-by-line reader would report them.
+    """
     path = Path(path)
-    vertices = []
-    faces = []
+    coords, v_lines = [], []
+    # face index tokens; per face line: line number, index count, vertices
+    # defined before it (negative indices count back from there)
+    tokens, f_lines, f_sizes, f_seen = [], [], [], []
+    truncated = None  # a record too short to parse; collection stops there
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            parts = raw.split()
+            if not parts:
                 continue
-            parts = line.split()
-            tag = parts[0]
+            tag = parts[0]  # "#..." comments and other records fall through
             if tag == "v":
                 if len(parts) < 4:
-                    raise ParseError("vertex needs 3 coordinates", lineno, str(path))
-                try:
-                    vertices.append([float(x) for x in parts[1:4]])
-                except ValueError:
-                    raise ParseError("non-numeric vertex", lineno, str(path)) from None
+                    truncated = ParseError("vertex needs 3 coordinates", lineno, str(path))
+                    break
+                coords += parts[1:4]
+                v_lines.append(lineno)
             elif tag == "f":
                 if len(parts) < 4:
-                    raise ParseError("face needs >= 3 indices", lineno, str(path))
-                try:
+                    truncated = ParseError("face needs >= 3 indices", lineno, str(path))
+                    break
+                if "/" in raw:
                     # only the vertex index of v/vt/vn triplets is used
-                    idx = [int(p.split("/")[0]) for p in parts[1:]]
-                except ValueError:
-                    raise ParseError("non-integer face index", lineno, str(path)) from None
-                resolved = []
-                for i in idx:
-                    if i == 0:
-                        raise IndexRangeError(
-                            f"{path}:{lineno}: OBJ face indices are 1-based; got 0"
-                        )
-                    resolved.append(i - 1 if i > 0 else len(vertices) + i)
-                for a, b in zip(resolved[1:-1], resolved[2:]):
-                    faces.append([resolved[0], a, b])
-            # normals, texcoords, groups, materials: ignored
-    if not vertices:
+                    parts = [p.partition("/")[0] for p in parts]
+                tokens += parts[1:]
+                f_lines.append(lineno)
+                f_sizes.append(len(parts) - 1)
+                f_seen.append(len(v_lines))
+
+    # every failure found below lies before `truncated`; the earliest wins,
+    # and a non-integer index beats a zero index on the same line
+    failures = []
+    try:
+        vertices = np.fromiter(map(float, coords), np.float64, len(coords))
+    except ValueError:
+        line = v_lines[_first_bad(coords, float)[0] // 3]
+        failures.append((line, ParseError("non-numeric vertex", line, str(path))))
+    sizes = np.array(f_sizes, dtype=np.int64)
+    ends = np.cumsum(sizes)
+    try:
+        idx = np.fromiter(map(int, tokens), np.int64, len(tokens))
+    except (ValueError, OverflowError):
+        k, exc = _first_bad(tokens, lambda t: np.int64(int(t)))
+        line = f_lines[np.searchsorted(ends, k, side="right")]
+        if isinstance(exc, ValueError):
+            failures.append((line, ParseError("non-integer face index", line, str(path))))
+        else:
+            failures.append(
+                (line, IndexRangeError(f"{path}:{line}: face index {tokens[k]} overflows"))
+            )
+    else:
+        zero = np.flatnonzero(idx == 0)
+        if zero.size:
+            line = f_lines[np.searchsorted(ends, zero[0], side="right")]
+            failures.append(
+                (line, IndexRangeError(f"{path}:{line}: OBJ face indices are 1-based; got 0"))
+            )
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    if truncated is not None:
+        raise truncated
+    if not coords:
         raise ParseError("no vertices in file", None, str(path))
-    mesh_faces = np.array(faces, dtype=np.int64).reshape(-1, 3)
-    return TriMesh(vertices=np.array(vertices, dtype=np.float64), faces=mesh_faces)
+
+    resolved = np.where(idx > 0, idx - 1, np.repeat(np.array(f_seen, dtype=np.int64), sizes) + idx)
+    # fan: polygon (r0, r1, ..., rk) -> triangles (r0, r_j, r_j+1)
+    n_tri = sizes - 2
+    first = np.repeat(ends - sizes, n_tri)
+    fan = np.arange(len(first)) - np.repeat(np.cumsum(n_tri) - n_tri, n_tri)
+    faces = np.stack(
+        [resolved[first], resolved[first + fan + 1], resolved[first + fan + 2]], axis=1
+    )
+    return TriMesh(vertices=vertices.reshape(-1, 3), faces=faces)
+
+
+def _first_bad(tokens, convert):
+    """Index of the first token that convert() rejects, and its error."""
+    for k, token in enumerate(tokens):
+        try:
+            convert(token)
+        except (ValueError, OverflowError) as exc:
+            return k, exc
+    raise AssertionError("bulk conversion failed but every token converts")
 
 
 def save_mesh(mesh: TriMesh, path) -> None:
@@ -159,22 +218,6 @@ def save_mesh(mesh: TriMesh, path) -> None:
             fh.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
         for f in mesh.faces:
             fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
-
-
-def _adjacency(mesh: TriMesh):
-    adj = [[] for _ in range(mesh.n_vertices)]
-    v = mesh.vertices
-    seen = set()
-    for tri in mesh.faces:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                continue
-            seen.add(key)
-            d = float(np.linalg.norm(v[a] - v[b]))
-            adj[a].append((int(b), d))
-            adj[b].append((int(a), d))
-    return adj
 
 
 def select_patch(mesh: TriMesh, seed: int, radius_hint: float) -> SurfacePatch:
@@ -187,19 +230,17 @@ def select_patch(mesh: TriMesh, seed: int, radius_hint: float) -> SurfacePatch:
         raise IndexRangeError(f"seed {seed} out of range [0, {mesh.n_vertices})")
     if not (radius_hint > 0):
         raise ValidationError("radius_hint must be > 0")
-    adj = _adjacency(mesh)
-    dist = {seed: 0.0}
-    heap = [(0.0, seed)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, np.inf):
-            continue
-        for v, w in adj[u]:
-            nd = d + w
-            if nd <= radius_hint and nd < dist.get(v, np.inf):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    ids = tuple(sorted(dist))
+    n = mesh.n_vertices
+    a, b = _directed_edges(mesh.faces)
+    a, b = np.divmod(np.unique(np.minimum(a, b) * n + np.maximum(a, b)), n)
+    d = mesh.vertices[a] - mesh.vertices[b]
+    # sqrt(d.d) through the dot kernel, so each length equals
+    # np.linalg.norm of its edge vector bit for bit
+    length = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+    # explicit zero lengths (coincident vertices) stay edges in csgraph
+    graph = csr_matrix((length, (a, b)), shape=(n, n))
+    dist = dijkstra(graph, directed=False, indices=seed, limit=radius_hint)
+    ids = tuple(np.flatnonzero(np.isfinite(dist)).tolist())
     if len(ids) < MIN_PATCH_VERTICES:
         raise InsufficientPatchError(
             f"only {len(ids)} vertices within {radius_hint} of seed {seed}; "
@@ -275,17 +316,19 @@ def enclosed_volume(mesh: TriMesh) -> float:
             f"first few {boundary[:5]}",
             boundary_edges=boundary,
         )
-    v = mesh.vertices
-    f = mesh.faces
-    signed = float(np.einsum("ij,ij->i", v[f[:, 0]], np.cross(v[f[:, 1]], v[f[:, 2]])).sum() / 6.0)
-    return abs(signed)
+    return abs(signed_volume(mesh))
 
 
 def signed_volume(mesh: TriMesh) -> float:
     """Signed divergence-theorem volume (positive for outward CCW faces)."""
-    v = mesh.vertices
-    f = mesh.faces
-    return float(np.einsum("ij,ij->i", v[f[:, 0]], np.cross(v[f[:, 1]], v[f[:, 2]])).sum() / 6.0)
+    # corner coordinates component-major, (xyz, corner, face)
+    x, y, z = mesh.vertices.T.take(mesh.faces.T, axis=1)
+    det = (
+        x[0] * (y[1] * z[2] - z[1] * y[2])
+        + y[0] * (z[1] * x[2] - x[1] * z[2])
+        + z[0] * (x[1] * y[2] - y[1] * x[2])
+    )
+    return float(det.sum() / 6.0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.spatial.distance import pdist
 
 from .errors import (
     EmptyContactError,
@@ -181,16 +182,24 @@ class _MembraneModel:
             raise SimulationInstabilityError(
                 "degenerate rest triangle", face_id=bad, frame=0
             )
+        # Face-corner -> vertex incidence.  Corner k of face f is entry
+        # k*m + f; per-corner values are kept component-major, (3, 3, m) =
+        # (xyz, corner, face), so every per-face formula below works on
+        # contiguous (m,) rows.  All per-vertex sums scatter through it.
+        n = mesh.n_vertices
+        corner_vertex = self.faces.T.ravel()
+        # flat index of each (component, corner) into an (n, 3) array, and
+        # into x.T.ravel() for the gather
+        self._corner_slot = (3 * corner_vertex + np.arange(3)[:, None]).ravel()
+        self._corner_gather = (corner_vertex + n * np.arange(3)[:, None]).ravel()
         # lumped vertex masses from the digitized (inflated) areal density
         inflated_area = 0.5 * l1 * l2
-        masses = np.zeros(mesh.n_vertices)
-        np.add.at(
-            masses,
-            self.faces.ravel(),
-            np.repeat(material.density * material.h * inflated_area / 3.0, 3),
+        self.masses = np.bincount(
+            corner_vertex,
+            weights=np.tile(material.density * material.h * inflated_area / 3.0, 3),
+            minlength=n,
         )
-        self.masses = masses
-        self.total_mass = float(masses.sum())
+        self.total_mass = float(self.masses.sum())
         rest_volume = signed_volume(mesh)
         if not rest_volume > 0:
             raise ValidationError(
@@ -209,72 +218,103 @@ class _MembraneModel:
         l1 = l1 / self.prestretch
         proj = proj / self.prestretch
         l2 = l2 / self.prestretch
-        # rest shape matrix Dm = [[l1, proj], [0, l2]] and its inverse
-        dm_inv = np.zeros((len(self.faces), 2, 2))
-        dm_inv[:, 0, 0] = 1.0 / l1
-        dm_inv[:, 0, 1] = -proj / (l1 * l2)
-        dm_inv[:, 1, 1] = 1.0 / l2
-        self.dm_inv = dm_inv
+        # rest shape matrix Dm = [[l1, proj], [0, l2]]; its inverse is the
+        # upper-triangular [[a, b], [0, d]]
+        self.dm_inv = (1.0 / l1, -proj / (l1 * l2), 1.0 / l2)
         self.rest_area = 0.5 * l1 * l2
+        # -rest_area * h * Dm^-1, the per-face factors of the nodal forces
+        k = -self.rest_area * material.h
+        self.force_dm_inv = tuple(k * entry for entry in self.dm_inv)
         # constant offset absorbing the residual imbalance at init
         # (zero for a perfect sphere; reported for irregular shapes)
-        self.pressure_offset = -(
-            self._pressure_forces(x, material.Pg0) + self._elastic_forces(x, 0)
-        )
+        self.pressure_offset = -self._scatter(self._corner_forces(x, material.Pg0, 0))
         self.offset_residual = float(
             np.abs(self.pressure_offset).max()
         )
 
+    def _scatter(self, corner_forces: np.ndarray) -> np.ndarray:
+        """Sum (3, 3, m) per-corner forces into (n, 3) vertex forces."""
+        n = len(self.masses)
+        return np.bincount(
+            self._corner_slot, weights=corner_forces.ravel(), minlength=3 * n
+        ).reshape(n, 3)
+
+    def _edges(self, x: np.ndarray):
+        """Edge vectors x1 - x0 and x2 - x0 of every face, (3, m) each."""
+        corners = x.T.ravel().take(self._corner_gather).reshape(3, 3, -1)
+        x0 = corners[:, 0]
+        return corners[:, 1] - x0, corners[:, 2] - x0
+
+    @staticmethod
+    def _pressure_corner_forces(e1, e2, pg: float) -> np.ndarray:
+        """Pg times face vector area, a third on each corner, (3, 3, m)."""
+        third = (pg / 6.0) * np.stack(
+            [
+                e1[1] * e2[2] - e1[2] * e2[1],
+                e1[2] * e2[0] - e1[0] * e2[2],
+                e1[0] * e2[1] - e1[1] * e2[0],
+            ]
+        )
+        return np.broadcast_to(third[:, None, :], (3, 3, third.shape[1]))
+
+    def _elastic_corner_forces(self, e1, e2, frame: int) -> np.ndarray:
+        """Neo-Hookean membrane forces on each face corner, (3, 3, m).
+
+        Plane-stress, thickness-integrated.  The 2x2 tensors are written
+        out by components: F = [g1, g2] (3-vector columns), C = F^T F,
+        S = mu (I - C^-1) + lam ln J C^-1 and P = F S = [p1, p2].
+        """
+        mat = self.material
+        a, b, d = self.dm_inv
+        g1 = a * e1  # F = [e1, e2] Dm^-1
+        g2 = b * e1 + d * e2
+        c11 = (g1 * g1).sum(axis=0)
+        c12 = (g1 * g2).sum(axis=0)
+        c22 = (g2 * g2).sum(axis=0)
+        det_c = c11 * c22 - c12 * c12
+        collapsed = det_c <= 1e-16
+        if collapsed.any():
+            raise SimulationInstabilityError(
+                "membrane element collapsed (det C -> 0)",
+                face_id=int(np.flatnonzero(collapsed)[0]),
+                frame=frame,
+            )
+        # S = mu I + (lam ln J - mu) C^-1 with ln J = ln(det C) / 2 and
+        # C^-1 = [[c22, -c12], [-c12, c11]] / det C
+        t = (0.5 * mat.lam * np.log(det_c) - mat.mu) / det_c
+        s11 = mat.mu + t * c22
+        s12 = -t * c12
+        s22 = mat.mu + t * c11
+        p1 = g1 * s11 + g2 * s12
+        p2 = g1 * s12 + g2 * s22
+        # nodal forces -rest_area h P Dm^-T on corners 1 and 2; corner 0
+        # takes minus their sum
+        ka, kb, kd = self.force_dm_inv
+        f1 = ka * p1 + kb * p2
+        f2 = kd * p2
+        return np.stack([-(f1 + f2), f1, f2], axis=1)
+
+    def _corner_forces(self, x: np.ndarray, pg: float, frame: int) -> np.ndarray:
+        """Elastic plus pressure forces on each face corner, (3, 3, m)."""
+        e1, e2 = self._edges(x)
+        return self._elastic_corner_forces(e1, e2, frame) + self._pressure_corner_forces(
+            e1, e2, pg
+        )
+
     def _pressure_forces(self, x: np.ndarray, pg: float) -> np.ndarray:
         """Pg times face vector area, lumped equally to the face's vertices."""
-        i0, i1, i2 = self.faces[:, 0], self.faces[:, 1], self.faces[:, 2]
-        vec_area = 0.5 * np.cross(x[i1] - x[i0], x[i2] - x[i0])
-        f = np.zeros_like(x)
-        np.add.at(f, self.faces.ravel(), np.repeat(pg * vec_area / 3.0, 3, axis=0))
-        return f
+        return self._scatter(self._pressure_corner_forces(*self._edges(x), pg))
 
     def _elastic_forces(self, x: np.ndarray, frame: int) -> np.ndarray:
         """Neo-Hookean membrane forces (plane-stress, thickness-integrated)."""
-        mat = self.material
-        i0, i1, i2 = self.faces[:, 0], self.faces[:, 1], self.faces[:, 2]
-        d = np.stack([x[i1] - x[i0], x[i2] - x[i0]], axis=2)  # (nf, 3, 2)
-        f_grad = d @ self.dm_inv  # deformation gradient, (nf, 3, 2)
-        c = np.einsum("fij,fik->fjk", f_grad, f_grad)  # right Cauchy-Green
-        det_c = c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0]
-        if np.any(det_c <= 1e-16):
-            bad = int(np.nonzero(det_c <= 1e-16)[0][0])
-            raise SimulationInstabilityError(
-                "membrane element collapsed (det C -> 0)", face_id=bad, frame=frame
-            )
-        c_inv = np.empty_like(c)
-        c_inv[:, 0, 0] = c[:, 1, 1]
-        c_inv[:, 1, 1] = c[:, 0, 0]
-        c_inv[:, 0, 1] = -c[:, 0, 1]
-        c_inv[:, 1, 0] = -c[:, 1, 0]
-        c_inv /= det_c[:, None, None]
-        log_j = 0.5 * np.log(det_c)
-        eye = np.eye(2)
-        # first Piola-Kirchhoff stress P = F (mu (I - C^-1) + lam ln J C^-1)
-        s = mat.mu * (eye - c_inv) + (mat.lam * log_j)[:, None, None] * c_inv
-        p = f_grad @ s
-        h_mat = -(self.rest_area * mat.h)[:, None, None] * (
-            p @ np.transpose(self.dm_inv, (0, 2, 1))
-        )
-        f = np.zeros_like(x)
-        f1 = h_mat[:, :, 0]
-        f2 = h_mat[:, :, 1]
-        np.add.at(f, i1, f1)
-        np.add.at(f, i2, f2)
-        np.add.at(f, i0, -f1 - f2)
-        return f
+        return self._scatter(self._elastic_corner_forces(*self._edges(x), frame))
 
     def internal_forces(self, x: np.ndarray, pg: float, frame: int) -> np.ndarray:
-        """Elastic + pressure + prestress offset (sums to ~0 at rest)."""
-        return (
-            self._elastic_forces(x, frame)
-            + self._pressure_forces(x, pg)
-            + self.pressure_offset
-        )
+        """Elastic + pressure + prestress offset (sums to ~0 at rest).
+
+        Both force terms are summed per face corner and scattered once.
+        """
+        return self._scatter(self._corner_forces(x, pg, frame)) + self.pressure_offset
 
 
 @dataclass(frozen=True)
@@ -402,8 +442,10 @@ def step(
                 v[np.nonzero(pen)[0][inward]] -= vn[inward, None] * n_hat
             new_contact.append((True, v_in))
         else:
-            if was_in:
-                # separation: set outgoing COM normal speed to e * v_in
+            if was_in and v_in > 0.0:
+                # separation: set outgoing COM normal speed to e * v_in.  An
+                # episode entered without approach speed (a wobbling vertex
+                # touching down after lift-off) has no bounce to restore.
                 out = float(com_v @ n_hat)
                 shift = config.restitution * v_in - out
                 v = v + shift * n_hat
@@ -581,12 +623,7 @@ def measure_deformation(
         raise EmptyContactError("no vertices within tolerance of the ground plane")
     lateral = x - np.outer(height, n_hat)
     pts = lateral[on_plane]
-    d_l = float(
-        max(
-            (np.linalg.norm(pts[i] - pts[j]) for i in range(len(pts)) for j in range(i)),
-            default=0.0,
-        )
-    )
+    d_l = float(pdist(pts).max()) if len(pts) > 1 else 0.0
 
     # rim of the sunken region: the highest ring around the vertical axis
     center = lateral.mean(axis=0)

@@ -8,6 +8,7 @@ import pytest
 from inflatekit.errors import (
     EmptyContactError,
     InsufficientDataError,
+    SimulationInstabilityError,
     TopologyError,
     ValidationError,
 )
@@ -209,6 +210,32 @@ class TestBounce:
         assert peak == pytest.approx(e**2 * h0, rel=0.05)
 
 
+    def test_recontact_after_lift_off_keeps_the_rebound(self):
+        # 642 vertices, isothermal gas: after lift-off a wobbling vertex
+        # touches the floor again, starting a second contact episode with
+        # no approach speed.  Its separation must not reset the bounce.
+        e, h0 = 0.75, 0.5
+        material = MaterialSpec(
+            E=2.3e6, nu=0.4, h=1e-3, density=1000.0, Pg0=1300.0, gas_model="isothermal"
+        )
+        state = ball_state(subdivisions=3, material=material, center=(0.0, 0.0, h0 + 0.13))
+        config = ScenarioConfig(
+            planes=(Plane(point=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0)),),
+            restitution=e,
+        )
+        t_fall = math.sqrt(2.0 * h0 / 9.81)
+        peak, episodes, touching = 0.0, 0, False
+        for _ in range(int(round(2.2 * t_fall / config.dt))):
+            state = step(state, config)
+            now = state.contact_state[0][0]
+            episodes += now and not touching
+            touching = now
+            if state.time > 1.1 * t_fall:
+                peak = max(peak, float(state.mesh.vertices[:, 2].min()))
+        assert episodes == 2
+        assert peak == pytest.approx(e**2 * h0, rel=0.05)
+
+
 class TestIndentation:
     def test_zero_target_depth_rejected(self):
         state = ball_state()
@@ -251,3 +278,96 @@ class TestMeasureDeformation:
         state = ball_state(center=(0.0, 0.0, 1.0))
         with pytest.raises(EmptyContactError):
             measure_deformation(state)
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the batched-matrix / np.add.at force assembly that the
+# per-component kernel replaced.  The reference is the former library code.
+
+
+def reference_forces(rest: TriMesh, material: MaterialSpec, prestretch: float, x, pg):
+    """(masses, elastic forces, pressure forces) by the former formulas."""
+    faces = rest.faces
+    v = rest.vertices
+    i0, i1, i2 = faces[:, 0], faces[:, 1], faces[:, 2]
+    e1 = v[i1] - v[i0]
+    e2 = v[i2] - v[i0]
+    l1 = np.linalg.norm(e1, axis=1)
+    t1 = e1 / l1[:, None]
+    proj = np.einsum("fi,fi->f", e2, t1)
+    l2 = np.linalg.norm(e2 - proj[:, None] * t1, axis=1)
+    masses = np.zeros(rest.n_vertices)
+    np.add.at(
+        masses, faces.ravel(), np.repeat(material.density * material.h * 0.5 * l1 * l2 / 3.0, 3)
+    )
+    l1, proj, l2 = l1 / prestretch, proj / prestretch, l2 / prestretch
+    dm_inv = np.zeros((len(faces), 2, 2))
+    dm_inv[:, 0, 0] = 1.0 / l1
+    dm_inv[:, 0, 1] = -proj / (l1 * l2)
+    dm_inv[:, 1, 1] = 1.0 / l2
+    rest_area = 0.5 * l1 * l2
+
+    d = np.stack([x[i1] - x[i0], x[i2] - x[i0]], axis=2)
+    f_grad = d @ dm_inv
+    c = np.einsum("fij,fik->fjk", f_grad, f_grad)
+    det_c = c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0]
+    c_inv = np.empty_like(c)
+    c_inv[:, 0, 0] = c[:, 1, 1]
+    c_inv[:, 1, 1] = c[:, 0, 0]
+    c_inv[:, 0, 1] = -c[:, 0, 1]
+    c_inv[:, 1, 0] = -c[:, 1, 0]
+    c_inv /= det_c[:, None, None]
+    log_j = 0.5 * np.log(det_c)
+    s = material.mu * (np.eye(2) - c_inv) + (material.lam * log_j)[:, None, None] * c_inv
+    h_mat = -(rest_area * material.h)[:, None, None] * (
+        (f_grad @ s) @ np.transpose(dm_inv, (0, 2, 1))
+    )
+    elastic = np.zeros_like(x)
+    np.add.at(elastic, i1, h_mat[:, :, 0])
+    np.add.at(elastic, i2, h_mat[:, :, 1])
+    np.add.at(elastic, i0, -h_mat[:, :, 0] - h_mat[:, :, 1])
+
+    vec_area = 0.5 * np.cross(x[i1] - x[i0], x[i2] - x[i0])
+    pressure = np.zeros_like(x)
+    np.add.at(pressure, faces.ravel(), np.repeat(pg * vec_area / 3.0, 3, axis=0))
+    return masses, elastic, pressure
+
+
+class TestForceKernelMatchesReference:
+    @pytest.mark.parametrize("subdivisions", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_forces_on_perturbed_ball(self, subdivisions, seed):
+        state = ball_state(subdivisions=subdivisions)
+        model = state._model
+        rng = np.random.default_rng(seed)
+        x = state.mesh.vertices * (
+            1.0 + 0.03 * rng.standard_normal((state.mesh.n_vertices, 1))
+        ) + 0.002 * rng.standard_normal(state.mesh.vertices.shape)
+        pg = 1450.0
+        masses, elastic, pressure = reference_forces(
+            state.rest_mesh, MATERIAL, model.prestretch, x, pg
+        )
+        scale = np.abs(elastic).max()
+
+        def close(got, want, scale):
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
+        close(model.masses, masses, masses.max())
+        close(model._elastic_forces(x, 0), elastic, scale)
+        close(model._pressure_forces(x, pg), pressure, np.abs(pressure).max())
+        close(
+            model.internal_forces(x, pg, 0) - model.pressure_offset,
+            elastic + pressure,
+            scale,
+        )
+
+    def test_collapse_names_face_and_frame(self):
+        state = ball_state()
+        x = state.mesh.vertices.copy()
+        faces = state.mesh.faces
+        i0, i1, _ = faces[17]
+        x[i1] = x[i0]  # the two faces sharing this edge collapse: det C = 0
+        first = min(f for f, tri in enumerate(faces.tolist()) if i0 in tri and i1 in tri)
+        with pytest.raises(SimulationInstabilityError) as err:
+            state._model.internal_forces(x, state.Pg, 42)
+        assert (err.value.face_id, err.value.frame) == (first, 42)
