@@ -215,6 +215,11 @@ class TestSolveShell:
         code = main(self.BASE + ["--W0", "1.5", "--out", str(tmp_path)])
         assert code == 2
 
+    def test_nan_depth_rejected(self, tmp_path, capsys):
+        code = main(self.BASE + ["--W0", "nan", "--out", str(tmp_path)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestSimulate:
     def scenario(self, tmp_path, extra=None):

@@ -95,6 +95,11 @@ class TestTrivialSolution:
         with pytest.raises(ValidationError):
             solve_indentation(BALL, 0.5)
 
+    @pytest.mark.parametrize("W0", [math.nan, -math.inf])
+    def test_non_finite_depth_rejected(self, W0):
+        with pytest.raises(ValidationError):
+            solve_indentation(BALL, W0)
+
 
 class TestShallowIndentation:
     def test_no_compression_at_minus_one(self, sol_m1):
@@ -144,17 +149,40 @@ class TestDeepIndentation:
             assert abs(w_pkg - w_oracle) < 0.02 * 4.0
 
 
+class TestWarmStart:
+    """Each continuation step restarts from the base grid, so the collocation
+    mesh stays sized by the tolerance instead of growing with every step."""
+
+    def test_membrane_mesh_stays_small(self, sol_m4):
+        assert len(sol_m4.rho) < 3000
+
+    def test_full_system_mesh_stays_small(self, tau100_pair):
+        _, full = tau100_pair
+        assert len(full.rho) < 3000
+
+    def test_default_tol_matches_tight_tol_force(self, sol_m4):
+        tight = solve_indentation(BALL, -4.0, SolverOptions(tol=1e-8))
+        assert sol_m4.force == pytest.approx(tight.force, rel=1e-6)
+
+
 def test_force_monotone_in_depth():
     forces = [solve_indentation(BALL, w).force for w in (0.0, -0.5, -1.5, -3.0, -4.5, -6.0)]
     assert all(f2 > f1 for f1, f2 in zip(forces, forces[1:]))
 
 
-def test_full_solution_close_to_membrane_limit():
-    # tau = 100 parameter set; bending changes the profile by < 2 percent
+@pytest.fixture(scope="module")
+def tau100_pair():
+    """Membrane and full-system solutions at W0 = -3 on a tau = 100 shell."""
     params = ShellParams(R=0.11, h=1.2e-3, E=1.1e6, nu=0.4, Pg=2000.0)
     params = _rescale_to_tau(params, 100.0)
     membrane = solve_indentation(params, -3.0, SolverOptions(membrane_limit=True))
     full = solve_indentation(params, -3.0, SolverOptions(membrane_limit=False))
+    return membrane, full
+
+
+def test_full_solution_close_to_membrane_limit(tau100_pair):
+    # tau = 100 parameter set; bending changes the profile by < 2 percent
+    membrane, full = tau100_pair
     grid = np.linspace(membrane.rho[0], membrane.rho[-1], 2000)
     w_m = np.interp(grid, membrane.rho, membrane.W)
     w_f = np.interp(grid, full.rho, full.W)
@@ -222,6 +250,11 @@ class TestCapProfile:
     def test_positive_depth_rejected(self):
         with pytest.raises(ValidationError):
             cap_profile(1.0)
+
+    @pytest.mark.parametrize("W0", [math.nan, -math.inf])
+    def test_non_finite_depth_rejected(self, W0):
+        with pytest.raises(ValidationError):
+            cap_profile(W0)
 
     def test_matches_deep_solution_within_15_percent_rms(self, sol_m4):
         # The inverted cap W0 + rho^2 is the deep-indentation limit of the
