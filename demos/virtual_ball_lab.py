@@ -1,10 +1,11 @@
 """Forward-simulator showcase: bounce a virtual ball, then poke it.
 
 Drops an inflated Neo-Hookean membrane ball onto a floor with restitution
-0.75, then runs a quasi-static virtual indentation and prints the measured
-force-depth series.
+0.75, then runs a quasi-static virtual indentation (the static equilibrium
+at each depth, by energy minimisation) and prints the measured force-depth
+series.
 
-Run: python3 demos/virtual_ball_lab.py   (takes a couple of minutes)
+Run: python3 demos/virtual_ball_lab.py   (takes a few seconds)
 """
 
 import math
@@ -50,7 +51,7 @@ def poke():
     top = int(np.argmax(mesh.vertices[:, 2]))
     config = ScenarioConfig(
         gravity=(0.0, 0.0, 0.0),
-        indenter=Indenter(vertex=top, axis=(0.0, 0.0, -1.0), speed=0.01),
+        indenter=Indenter(vertex=top, axis=(0.0, 0.0, -1.0)),
     )
     series = indent_virtual(state, config, target_depth=0.02, n_levels=4)
     print(f"\nvirtual indentation (R = {series.region_radius * 1e3:.1f} mm):")

@@ -1,8 +1,8 @@
 """Command-line pipeline: calibrate, estimate, solve-shell, simulate, mesh-info.
 
 Exit codes: 0 success, 1 I/O failure, 2 invalid input, 3 numerical failure.
-All commands are deterministic given identical inputs (and --seed, where
-noise injection applies), so reruns are idempotent.
+All commands are deterministic given identical inputs, so reruns are
+idempotent.
 """
 
 from __future__ import annotations
@@ -195,35 +195,77 @@ def cmd_solve_shell(args) -> int:
     return EXIT_OK
 
 
+_MATERIAL_REQUIRED = ("E", "nu", "h", "density", "Pg0")
+
+
 def _parse_scenario(path):
+    """Scenario JSON -> (MaterialSpec, ScenarioConfig, indent block or None).
+
+    A malformed structure or value raises ParseError or ValidationError.
+    ``indent.speed`` is accepted and ignored: indentation is quasi-static.
+    """
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, path=str(path)) from None
-    try:
-        material = MaterialSpec(**data["material"])
-    except KeyError:
-        raise ValidationError(f"{path}: scenario JSON must contain 'material'")
+
+    def check(ok, message):
+        if not ok:
+            raise ValidationError(f"{path}: {message}")
+
+    def number(value, name, kind=(int, float)):
+        ok = isinstance(value, kind) and not isinstance(value, bool)
+        what = "an integer" if kind is int else "a number"
+        check(ok, f"{name} must be {what}, got {value!r}")
+        return value
+
+    def vector(value, name):
+        check(isinstance(value, list) and len(value) == 3, f"{name} must be 3 numbers")
+        return tuple(number(v, name) for v in value)
+
+    def table(value, name, required):
+        check(isinstance(value, dict), f"{name} must be an object")
+        missing = [key for key in required if key not in value]
+        check(not missing, f"{name} lacks {missing}")
+        return value
+
+    table(data, "scenario JSON", ("material",))
+    spec = table(data["material"], "material", _MATERIAL_REQUIRED)
+    unknown = sorted(set(spec) - {*_MATERIAL_REQUIRED, "gas_model"})
+    check(not unknown, f"unknown material keys {unknown}")
+    for key in _MATERIAL_REQUIRED:
+        number(spec[key], f"material.{key}")
+    material = MaterialSpec(**spec)
     indent = data.get("indent")
     indenter = None
     if indent is not None:
+        table(indent, "indent", ("vertex", "target_depth"))
+        number(indent["target_depth"], "indent.target_depth")
+        if indent.get("levels") is not None:
+            number(indent["levels"], "indent.levels", int)
         indenter = Indenter(
-            vertex=indent["vertex"],
-            axis=tuple(indent.get("axis", (0.0, 0.0, -1.0))),
-            speed=indent.get("speed", 0.005),
+            vertex=number(indent["vertex"], "indent.vertex", int),
+            axis=vector(indent.get("axis", [0.0, 0.0, -1.0]), "indent.axis"),
         )
+    planes = data.get("planes", [])
+    check(isinstance(planes, list), "planes must be a list")
+    for plane in planes:
+        table(plane, "plane", ("point", "normal"))
     config = ScenarioConfig(
-        gravity=tuple(data.get("gravity", (0.0, 0.0, -9.81))),
+        gravity=vector(data.get("gravity", [0.0, 0.0, -9.81]), "gravity"),
         planes=tuple(
-            Plane(point=tuple(p["point"]), normal=tuple(p["normal"]))
-            for p in data.get("planes", ())
+            Plane(
+                point=vector(p["point"], "plane point"),
+                normal=vector(p["normal"], "plane normal"),
+            )
+            for p in planes
         ),
-        restitution=data.get("restitution", 1.0),
+        restitution=number(data.get("restitution", 1.0), "restitution"),
         indenter=indenter,
-        dt=data.get("dt", 1e-4),
-        duration=data.get("duration", 1.0),
-        damping=data.get("damping", 0.0),
+        dt=number(data.get("dt", 1e-4), "dt"),
+        duration=number(data.get("duration", 1.0), "duration"),
+        damping=number(data.get("damping", 0.0), "damping"),
     )
     return material, config, indent
 
@@ -290,9 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="inflatekit",
         description="Estimate gauge pressure and elastic modulus of inflated "
         "objects from point-indentation measurements.",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="RNG seed for any noise injection"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

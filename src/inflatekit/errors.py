@@ -69,7 +69,8 @@ class SimulationInstabilityError(InflatekitError):
 
 
 class RelaxationTimeoutError(InflatekitError):
-    """Quasi-static relaxation failed to reach the kinetic-energy tolerance."""
+    """Quasi-static equilibrium not reached: a free vertex keeps a net force
+    of RELAX_FORCE_TOL or more after the potential was minimised."""
 
 
 class EmptyContactError(InflatekitError):

@@ -1,10 +1,11 @@
 """Forward simulator for a pressurized closed triangle-mesh membrane.
 
 Explicit (semi-implicit Euler) dynamics of a Neo-Hookean membrane under
-internal gauge pressure, gravity, frictionless plane contacts with a
-restitution target, and quasi-static point indentation.  Serves as the
-synthetic-data oracle for the pressure/modulus estimators: indent_virtual
-emits the same IndentationSeries the estimator consumes.
+internal gauge pressure, gravity and frictionless plane contacts with a
+restitution target, and quasi-static point indentation by minimising the
+total potential energy.  Serves as the synthetic-data oracle for the
+pressure/modulus estimators: indent_virtual emits the same
+IndentationSeries the estimator consumes.
 
 The digitized (inflated) mesh is treated as a prestressed equilibrium:
 elastic strain is measured from the inflated shape and the initial pressure
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 from scipy.spatial.distance import pdist
 
 from .errors import (
@@ -37,11 +38,11 @@ P_ATM = 101325.0  # Pa
 
 GAS_MODELS = ("constant_pressure", "isothermal")
 
-# kinetic-energy threshold (J) declaring quasi-static equilibrium
-RELAX_KE_TOL = 1e-6
-
 # vertices closer than this to a plane count as contact (m)
 CONTACT_TOL = 1e-4
+
+# det C at or below this marks a collapsed membrane element
+DET_C_MIN = 1e-16
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,8 @@ class MaterialSpec:
 
     def __post_init__(self):
         for name in ("E", "h", "density", "Pg0"):
-            if not (getattr(self, name) > 0):
-                raise ValidationError(f"{name} must be > 0")
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValidationError(f"{name} must be finite and > 0")
         if not (0 < self.nu < 0.5):
             raise ValidationError(f"nu must be in (0, 0.5), got {self.nu}")
         if self.gas_model not in GAS_MODELS:
@@ -87,8 +88,8 @@ class Plane:
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float)
         norm = np.linalg.norm(n)
-        if not norm > 0:
-            raise ValidationError("plane normal must be nonzero")
+        if not (0 < norm < math.inf and np.isfinite(self.point).all()):
+            raise ValidationError("plane point must be finite, normal finite and nonzero")
         object.__setattr__(self, "point", tuple(float(v) for v in self.point))
         object.__setattr__(self, "normal", tuple(n / norm))
 
@@ -99,18 +100,13 @@ class Indenter:
 
     vertex: int
     axis: tuple = (0.0, 0.0, -1.0)  # direction of advance (into the surface)
-    speed: float = 0.005  # m/s advance between relaxations
 
     def __post_init__(self):
         a = np.asarray(self.axis, dtype=float)
         norm = np.linalg.norm(a)
-        if not norm > 0:
-            raise ValidationError("indenter axis must be nonzero")
+        if not 0 < norm < math.inf:
+            raise ValidationError("indenter axis must be finite and nonzero")
         object.__setattr__(self, "axis", tuple(a / norm))
-        if not (0 < self.speed <= 0.01):
-            raise ValidationError(
-                f"indenter speed must be in (0, 0.01] m/s, got {self.speed}"
-            )
 
 
 @dataclass(frozen=True)
@@ -123,17 +119,21 @@ class ScenarioConfig:
     indenter: Indenter | None = None
     dt: float = 1e-4
     duration: float = 1.0
-    damping: float = 0.0  # 1/s viscous rate (used for quasi-static relaxation)
+    damping: float = 0.0  # 1/s viscous rate
 
     def __post_init__(self):
         object.__setattr__(self, "gravity", tuple(float(g) for g in self.gravity))
         object.__setattr__(self, "planes", tuple(self.planes))
-        if not (self.dt > 0):
-            raise ValidationError("dt must be > 0")
+        if not np.isfinite(self.gravity).all():
+            raise ValidationError("gravity must be finite")
+        if not (0 < self.dt < math.inf):
+            raise ValidationError("dt must be finite and > 0")
+        if not (0 <= self.duration < math.inf):
+            raise ValidationError("duration must be finite and >= 0")
         if not (0 < self.restitution <= 1):
             raise ValidationError("restitution must be in (0, 1]")
-        if self.damping < 0:
-            raise ValidationError("damping must be >= 0")
+        if not (0 <= self.damping < math.inf):
+            raise ValidationError("damping must be finite and >= 0")
 
 
 def _equibiaxial_stretch(material: MaterialSpec, tension: float) -> float:
@@ -257,7 +257,17 @@ class _MembraneModel:
         )
         return np.broadcast_to(third[:, None, :], (3, 3, third.shape[1]))
 
-    def _elastic_corner_forces(self, e1, e2, frame: int) -> np.ndarray:
+    def _strain(self, e1, e2):
+        """F = [g1, g2] = [e1, e2] Dm^-1 and C = F^T F: g1, g2, c11, c12, c22, det C."""
+        a, b, d = self.dm_inv
+        g1 = a * e1
+        g2 = b * e1 + d * e2
+        c11 = (g1 * g1).sum(axis=0)
+        c12 = (g1 * g2).sum(axis=0)
+        c22 = (g2 * g2).sum(axis=0)
+        return g1, g2, c11, c12, c22, c11 * c22 - c12 * c12
+
+    def _elastic_corner_forces(self, e1, e2, frame: int | None) -> np.ndarray:
         """Neo-Hookean membrane forces on each face corner, (3, 3, m).
 
         Plane-stress, thickness-integrated.  The 2x2 tensors are written
@@ -265,14 +275,8 @@ class _MembraneModel:
         S = mu (I - C^-1) + lam ln J C^-1 and P = F S = [p1, p2].
         """
         mat = self.material
-        a, b, d = self.dm_inv
-        g1 = a * e1  # F = [e1, e2] Dm^-1
-        g2 = b * e1 + d * e2
-        c11 = (g1 * g1).sum(axis=0)
-        c12 = (g1 * g2).sum(axis=0)
-        c22 = (g2 * g2).sum(axis=0)
-        det_c = c11 * c22 - c12 * c12
-        collapsed = det_c <= 1e-16
+        g1, g2, c11, c12, c22, det_c = self._strain(e1, e2)
+        collapsed = det_c <= DET_C_MIN
         if collapsed.any():
             raise SimulationInstabilityError(
                 "membrane element collapsed (det C -> 0)",
@@ -294,7 +298,7 @@ class _MembraneModel:
         f2 = kd * p2
         return np.stack([-(f1 + f2), f1, f2], axis=1)
 
-    def _corner_forces(self, x: np.ndarray, pg: float, frame: int) -> np.ndarray:
+    def _corner_forces(self, x: np.ndarray, pg: float, frame: int | None) -> np.ndarray:
         """Elastic plus pressure forces on each face corner, (3, 3, m)."""
         e1, e2 = self._edges(x)
         return self._elastic_corner_forces(e1, e2, frame) + self._pressure_corner_forces(
@@ -309,12 +313,37 @@ class _MembraneModel:
         """Neo-Hookean membrane forces (plane-stress, thickness-integrated)."""
         return self._scatter(self._elastic_corner_forces(*self._edges(x), frame))
 
-    def internal_forces(self, x: np.ndarray, pg: float, frame: int) -> np.ndarray:
+    def internal_forces(self, x: np.ndarray, pg: float, frame: int | None) -> np.ndarray:
         """Elastic + pressure + prestress offset (sums to ~0 at rest).
 
         Both force terms are summed per face corner and scattered once.
         """
         return self._scatter(self._corner_forces(x, pg, frame)) + self.pressure_offset
+
+    def potential(self, x: np.ndarray, gravity: np.ndarray):
+        """Total potential energy at x and its gradient, (float, (n, 3)).
+
+        Membrane energy, gas potential and the work of the prestress offset
+        and the (n, 3) gravity loads; inf if an element or the volume
+        collapsed.  On a closed mesh the lumped pressure load is dV/dx, so
+        the gradient is -(internal_forces(x, Pg(V)) + gravity).
+        """
+        mat = self.material
+        _, _, c11, _, c22, det_c = self._strain(*self._edges(x))
+        # TriMesh freezes the array it is given, so it gets a copy of x
+        volume = signed_volume(TriMesh(vertices=x.copy(), faces=self.faces))
+        if (det_c <= DET_C_MIN).any() or not volume > 0:
+            return math.inf, np.zeros_like(x)
+        log_j = 0.5 * np.log(det_c)
+        membrane = mat.h * self.rest_area @ (
+            0.5 * mat.mu * (c11 + c22 - 2.0) - mat.mu * log_j + 0.5 * mat.lam * log_j**2
+        )
+        gas = -mat.Pg0 * volume  # -d(gas)/dV is _gas_pressure
+        if mat.gas_model == "isothermal":
+            gas = P_ATM * volume - (P_ATM + mat.Pg0) * self.rest_volume * math.log(volume)
+        net = self.internal_forces(x, _gas_pressure(self, volume), None) + gravity
+        work = float(((self.pressure_offset + gravity) * x).sum())
+        return membrane + gas - work, -net
 
 
 @dataclass(frozen=True)
@@ -391,17 +420,10 @@ def _gas_pressure(model: _MembraneModel, volume: float) -> float:
     return mat.Pg0
 
 
-def step(
-    state: SimState,
-    config: ScenarioConfig,
-    pinned: np.ndarray | None = None,
-    pinned_positions: np.ndarray | None = None,
-) -> SimState:
+def step(state: SimState, config: ScenarioConfig) -> SimState:
     """Advance one semi-implicit Euler step of size config.dt.
 
-    Optional pinned vertices are held at pinned_positions with zero
-    velocity (used by indent_virtual's point constraint).  Deterministic:
-    identical inputs produce bit-identical successors.
+    Deterministic: identical inputs produce bit-identical successors.
     """
     model = state._model
     dt = config.dt
@@ -452,10 +474,6 @@ def step(
                 x_new = x + dt * v
             new_contact.append((False, 0.0))
 
-    if pinned is not None:
-        x_new[pinned] = pinned_positions
-        v[pinned] = 0.0
-
     if not np.isfinite(x_new).all() or not np.isfinite(v).all():
         raise SimulationInstabilityError(
             "non-finite state after step", frame=frame + 1
@@ -485,33 +503,6 @@ def run(state: SimState, config: ScenarioConfig) -> SimState:
 
 
 RELAX_FORCE_TOL = 1e-4  # N, max net vertex force at quasi-static equilibrium
-RELAX_DAMPING = 50.0  # 1/s viscous rate during relaxation
-
-
-def _relax(state, config, pinned, pinned_pos, max_steps):
-    """Damped stepping to quasi-static equilibrium.
-
-    Stops when kinetic energy is below RELAX_KE_TOL and the largest net
-    force on any free vertex is below RELAX_FORCE_TOL (kinetic energy
-    alone can vanish far from equilibrium under strong damping).
-    """
-    model = state._model
-    relax_cfg = replace(config, damping=max(config.damping, RELAX_DAMPING))
-    free = np.ones(state.mesh.n_vertices, dtype=bool)
-    free[pinned] = False
-    check_every = 200
-    for i in range(max_steps):
-        state = step(state, relax_cfg, pinned=pinned, pinned_positions=pinned_pos)
-        if state.kinetic_energy < RELAX_KE_TOL and (i + 1) % check_every == 0:
-            frame = int(round(state.time / relax_cfg.dt))
-            f = model.internal_forces(state.mesh.vertices, state.Pg, frame)
-            f += model.masses[:, None] * np.asarray(relax_cfg.gravity)
-            if np.linalg.norm(f[free], axis=1).max() < RELAX_FORCE_TOL:
-                return state
-    raise RelaxationTimeoutError(
-        f"kinetic energy {state.kinetic_energy:.3e} J / force residual still "
-        f"above tolerance after {max_steps} steps"
-    )
 
 
 def equivalent_radius(state: SimState) -> float:
@@ -524,24 +515,27 @@ def indent_virtual(
     config: ScenarioConfig,
     target_depth: float,
     n_levels: int | None = None,
-    max_relax_steps: int = 200_000,
     object_id: str = "simulated",
 ) -> IndentationSeries:
     """Quasi-static point indentation; returns the measured force-depth series.
 
-    The indenter vertex advances along the axis in depth increments, the
-    membrane relaxes to quasi-static equilibrium (damped, kinetic energy
-    below 1e-6 J) at each level, and the constraint reaction force is
-    recorded.  A cap of vertices around the antipode of the indentation
-    axis is held fixed as the support (otherwise the pin would simply
-    translate the whole object).  R is the volume-equivalent sphere
-    radius, h the material thickness.
+    The indenter vertex is pinned at n_levels equal depth increments along
+    the axis.  At each level L-BFGS-B minimises the total potential over
+    the free vertices, starting from the previous level's equilibrium, and
+    the constraint reaction force is recorded; a net force of
+    RELAX_FORCE_TOL or more left on a free vertex raises
+    RelaxationTimeoutError.  A cap of vertices around the antipode of the
+    indentation axis is held fixed as the support (otherwise the pin would
+    simply translate the whole object), so ``config.planes`` must be empty.
+    R is the volume-equivalent sphere radius, h the material thickness.
     """
     if config.indenter is None:
         raise ValidationError("config.indenter must be set")
-    if not (target_depth > 0):
+    if config.planes:
+        raise ValidationError("the support is a pinned cap; planes are not supported")
+    if not (0 < target_depth < math.inf):
         raise InsufficientDataError(
-            f"target_depth must be > 0 to collect samples, got {target_depth}"
+            f"target_depth must be finite and > 0 to collect samples, got {target_depth}"
         )
     ind = config.indenter
     if not (0 <= ind.vertex < state.mesh.n_vertices):
@@ -552,48 +546,53 @@ def indent_virtual(
         raise InsufficientDataError("need at least 3 depth levels")
 
     axis = np.asarray(ind.axis)
-    x = state.mesh.vertices
-    x0 = x[ind.vertex].copy()
-    radius = equivalent_radius(state)
+    x = state.mesh.vertices.copy()
     model = state._model
+    gravity = model.masses[:, None] * np.asarray(config.gravity)
     # support: hold the 30-degree cap around the axis antipode fixed
     centered = x - x.mean(axis=0)
     along = centered @ axis
-    cap = along >= np.linalg.norm(centered, axis=1) * math.cos(math.radians(30.0))
-    cap[ind.vertex] = False
-    support = np.nonzero(cap)[0]
-    pinned = np.concatenate(([ind.vertex], support))
-    support_pos = x[support]
-    # per-step advance keeps the constrained vertex at quasi-static speed
-    advance_per_step = ind.speed * config.dt
-    advance_cfg = replace(config, damping=max(config.damping, RELAX_DAMPING))
+    free = along < np.linalg.norm(centered, axis=1) * math.cos(math.radians(30.0))
+    free[ind.vertex] = False
+
+    def potential(q):
+        x[free] = q.reshape(-1, 3)
+        energy, grad = model.potential(x, gravity)
+        return energy, grad[free].ravel()
 
     samples = []
-    depth = 0.0
     for level in range(1, n_levels + 1):
-        depth_target = target_depth * level / n_levels
-        while depth < depth_target:
-            depth = min(depth + advance_per_step, depth_target)
-            pos = np.vstack([(x0 + depth * axis)[None, :], support_pos])
-            state = step(state, advance_cfg, pinned=pinned, pinned_positions=pos)
-        state = _relax(state, config, pinned, pos, max_relax_steps)
-        frame = int(round(state.time / config.dt))
-        f_applied = model.internal_forces(state.mesh.vertices, state.Pg, frame)[
-            ind.vertex
-        ] + model.masses[ind.vertex] * np.asarray(config.gravity)
+        depth = target_depth * level / n_levels
+        x[ind.vertex] = state.mesh.vertices[ind.vertex] + depth * axis
+        # gtol bounds each force component, so the norm stays below the tol
+        result = minimize(
+            potential,
+            x[free].ravel(),
+            jac=True,
+            method="L-BFGS-B",
+            options={"gtol": RELAX_FORCE_TOL / 2.0, "ftol": 0.0},
+        )
+        x[free] = result.x.reshape(-1, 3)
+        volume = signed_volume(state.mesh.with_vertices(x.copy()))
+        f = model.internal_forces(x, _gas_pressure(model, volume), None) + gravity
+        residual = float(np.linalg.norm(f[free], axis=1).max())
+        if not residual < RELAX_FORCE_TOL:
+            raise RelaxationTimeoutError(
+                f"net vertex force {residual:.3e} N above {RELAX_FORCE_TOL} N at "
+                f"depth {depth} after {result.nit} iterations: {result.message}"
+            )
         # the constraint balances the applied force; the indenter feels -f
-        reaction = -float(f_applied @ axis)
+        reaction = -float(f[ind.vertex] @ axis)
         if reaction <= 0:
             raise SimulationInstabilityError(
-                f"non-positive reaction force {reaction:.3e} N at depth {depth}",
-                frame=frame,
+                f"non-positive reaction force {reaction:.3e} N at depth {depth}"
             )
         samples.append(IndentationSample(force=reaction, depth=depth))
 
     return IndentationSeries(
         samples=tuple(samples),
         object_id=object_id,
-        region_radius=radius,
+        region_radius=equivalent_radius(state),
         region_thickness=model.material.h,
     )
 

@@ -173,7 +173,7 @@ def test_simulated_indentation_round_trip():
         state = init_sim(mesh, material)
         config = ScenarioConfig(
             gravity=(0.0, 0.0, 0.0),
-            indenter=Indenter(vertex=top, axis=(0.0, 0.0, -1.0), speed=0.01),
+            indenter=Indenter(vertex=top, axis=(0.0, 0.0, -1.0)),
         )
         return indent_virtual(state, config, target_depth=0.035, n_levels=5)
 

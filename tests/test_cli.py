@@ -281,6 +281,56 @@ class TestSimulate:
         assert code == 2
 
 
+    MATERIAL = {"E": 2.3e6, "nu": 0.4, "h": 1e-3, "density": 1000.0, "Pg0": 1300.0}
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [{"material": MATERIAL}],
+            {"material": {**MATERIAL, "colour": "red"}},
+            {"material": MATERIAL, "indent": {"vertex": 0}},
+            {"material": MATERIAL, "indent": {"target_depth": 0.01}},
+            {"material": {**MATERIAL, "E": "inf"}},
+            {"material": MATERIAL, "duration": -1},
+        ],
+        ids=[
+            "top-level-list",
+            "unknown-material-key",
+            "indent-without-target-depth",
+            "indent-without-vertex",
+            "string-modulus",
+            "negative-duration",
+        ],
+    )
+    def test_malformed_scenario_is_validation_error(self, tmp_path, capsys, data):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        mesh_path = tmp_path / "ball.obj"
+        save_mesh(icosphere(radius=0.13, subdivisions=1), mesh_path)
+        code = main(
+            ["simulate", "--scenario", str(path), "--mesh", str(mesh_path), "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_indent_speed_is_accepted_and_ignored(self, tmp_path):
+        mesh = icosphere(radius=0.13, subdivisions=1)
+        mesh_path = tmp_path / "ball.obj"
+        save_mesh(mesh, mesh_path)
+        top = int(np.argmax(mesh.vertices[:, 2]))
+        indent = {"vertex": top, "target_depth": 0.01, "levels": 3, "speed": 0.01}
+        code = main(
+            [
+                "simulate",
+                "--scenario", str(self.scenario(tmp_path, {"indent": indent})),
+                "--mesh", str(mesh_path),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 0
+        assert len((tmp_path / "out" / "series.csv").read_text().splitlines()) == 4
+
+
 class TestMeshInfo:
     def test_watertight_sphere(self, tmp_path, capsys):
         mesh_path = tmp_path / "ball.obj"
