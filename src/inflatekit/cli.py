@@ -116,18 +116,71 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+class _JsonInput:
+    """A JSON input file; a structural fault raises an error naming the file."""
+
+    def __init__(self, path):
+        self.path = path
+        text = Path(path).read_text(encoding="utf-8")
+        try:
+            self.data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.msg, line=exc.lineno, path=str(path)) from None
+
+    def check(self, ok, message):
+        if not ok:
+            raise ValidationError(f"{self.path}: {message}")
+
+    def number(self, value, name, kind=(int, float)):
+        # finite as a float: rejects NaN, Infinity and integers beyond its range
+        ok = (
+            isinstance(value, kind)
+            and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
+        )
+        what = "an integer" if kind is int else "a finite number"
+        self.check(ok, f"{name} must be {what}, got {value!r}")
+        return value
+
+    def vector(self, value, name):
+        self.check(isinstance(value, list) and len(value) == 3, f"{name} must be 3 numbers")
+        return tuple(self.number(v, name) for v in value)
+
+    def table(self, value, name, required, exact=False):
+        """Check value is an object with the required keys (and no others if exact)."""
+        self.check(isinstance(value, dict), f"{name} must be an object")
+        missing = [key for key in required if key not in value]
+        self.check(not missing, f"{name} lacks {missing}")
+        unknown = sorted(set(value) - set(required)) if exact else []
+        self.check(not unknown, f"unknown {name} keys {unknown}")
+        return value
+
+
+_CALIBRATION_KEYS = ("ks", "fit_r2", "records")
+_RECORD_KEYS = ("measured_Pg", "estimated_Pg_hat")
+
+
 def _load_calibration(path) -> Calibration:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return Calibration(
-        ks=data["ks"],
-        records=tuple(
+    """Calibration JSON (as written by ``calibrate``) -> Calibration.
+
+    A malformed structure or value raises ParseError or ValidationError.
+    """
+    doc = _JsonInput(path)
+    data = doc.table(doc.data, "calibration JSON", _CALIBRATION_KEYS, exact=True)
+    doc.check(isinstance(data["records"], list), "records must be a list")
+    records = []
+    for r in data["records"]:
+        doc.table(r, "calibration record", _RECORD_KEYS, exact=True)
+        records.append(
             CalibrationRecord(
-                measured_Pg=r["measured_Pg"],
-                estimated_Pg_hat=r["estimated_Pg_hat"],
+                measured_Pg=doc.number(r["measured_Pg"], "measured_Pg"),
+                estimated_Pg_hat=doc.number(r["estimated_Pg_hat"], "estimated_Pg_hat"),
             )
-            for r in data["records"]
-        ),
-        fit_r2=data["fit_r2"],
+        )
+    return Calibration(
+        ks=doc.number(data["ks"], "ks"),
+        records=tuple(records),
+        fit_r2=doc.number(data["fit_r2"], "fit_r2"),
     )
 
 
@@ -204,31 +257,9 @@ def _parse_scenario(path):
     A malformed structure or value raises ParseError or ValidationError.
     ``indent.speed`` is accepted and ignored: indentation is quasi-static.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, path=str(path)) from None
-
-    def check(ok, message):
-        if not ok:
-            raise ValidationError(f"{path}: {message}")
-
-    def number(value, name, kind=(int, float)):
-        ok = isinstance(value, kind) and not isinstance(value, bool)
-        what = "an integer" if kind is int else "a number"
-        check(ok, f"{name} must be {what}, got {value!r}")
-        return value
-
-    def vector(value, name):
-        check(isinstance(value, list) and len(value) == 3, f"{name} must be 3 numbers")
-        return tuple(number(v, name) for v in value)
-
-    def table(value, name, required):
-        check(isinstance(value, dict), f"{name} must be an object")
-        missing = [key for key in required if key not in value]
-        check(not missing, f"{name} lacks {missing}")
-        return value
+    doc = _JsonInput(path)
+    check, number, vector, table = doc.check, doc.number, doc.vector, doc.table
+    data = doc.data
 
     table(data, "scenario JSON", ("material",))
     spec = table(data["material"], "material", _MATERIAL_REQUIRED)
@@ -378,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(full=False)
     p.add_argument("--W0", type=float, help="dimensionless indentation depth (<= 0)")
     p.add_argument(
-        "--critical", action="store_true", help="bisect the wrinkling-onset depth"
+        "--critical", action="store_true", help="root-find the wrinkling-onset depth"
     )
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_solve_shell)
@@ -413,8 +444,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON at line {exc.lineno}: {exc.msg}", file=sys.stderr)
+    except UnicodeDecodeError as exc:  # any input file read as text
+        print(f"error: input file is not UTF-8 text ({exc.reason})", file=sys.stderr)
         return EXIT_VALIDATION
 
 

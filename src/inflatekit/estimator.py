@@ -60,10 +60,12 @@ class CalibrationRecord:
     estimated_Pg_hat: float  # Pa, regress_phat output
 
     def __post_init__(self):
-        if not (self.measured_Pg > 0):
-            raise ValidationError("measured_Pg must be > 0")
-        if not (self.estimated_Pg_hat > 0):
-            raise ValidationError("estimated_Pg_hat must be > 0")
+        if not (0 < self.measured_Pg < math.inf):
+            raise ValidationError(f"measured_Pg must be finite and > 0, got {self.measured_Pg}")
+        if not (0 < self.estimated_Pg_hat < math.inf):
+            raise ValidationError(
+                f"estimated_Pg_hat must be finite and > 0, got {self.estimated_Pg_hat}"
+            )
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,8 @@ class Calibration:
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
-        if not (self.ks > 0):
-            raise ValidationError("ks must be > 0")
+        if not (0 < self.ks < math.inf):
+            raise ValidationError(f"ks must be finite and > 0, got {self.ks}")
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,8 @@ class TriMesh:
             raise ValidationError(f"vertices must be (n,3), got {v.shape}")
         if f.ndim != 2 or f.shape[1] != 3:
             raise ValidationError(f"faces must be (m,3), got {f.shape}")
+        if not np.isfinite(v).all():
+            raise ValidationError("vertices must be finite (got inf or nan)")
         if f.size and (f.min() < 0 or f.max() >= len(v)):
             raise IndexRangeError(
                 f"face index out of range [0, {len(v)}): "

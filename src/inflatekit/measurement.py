@@ -39,10 +39,10 @@ class IndentationSample:
     depth: float
 
     def __post_init__(self):
-        if not (self.force > 0):
-            raise ValidationError(f"force must be > 0, got {self.force}")
-        if not (self.depth > 0):
-            raise ValidationError(f"depth must be > 0, got {self.depth}")
+        if not (0 < self.force < math.inf):
+            raise ValidationError(f"force must be finite and > 0, got {self.force}")
+        if not (0 < self.depth < math.inf):
+            raise ValidationError(f"depth must be finite and > 0, got {self.depth}")
 
 
 @dataclass(frozen=True)

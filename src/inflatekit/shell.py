@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_bvp
+from scipy.optimize import brentq
 
 from .errors import NonConvergenceError, ValidationError
 
@@ -39,9 +40,6 @@ from .errors import NonConvergenceError, ValidationError
 WRINKLE_FACTOR = 1.33
 
 DEFAULT_NU = 0.4
-
-# continuation step cap in |W0|
-MAX_CONTINUATION_STEP = 0.25
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,11 @@ class ShellParams:
                 raise ValidationError(f"{name} must be > 0, got {getattr(self, name)}")
         if not (0 < self.nu < 0.5):
             raise ValidationError(f"nu must be in (0, 0.5), got {self.nu}")
-        if not (math.isfinite(self.tau) and self.tau > 0):
+        try:
+            tau = self.tau
+        except ZeroDivisionError:  # E h B underflows to 0 for a vanishing modulus
+            tau = math.inf
+        if not (math.isfinite(tau) and tau > 0):
             raise ValidationError("tau must be finite and positive")
 
     @property
@@ -167,7 +169,7 @@ class CapProfile:
 
 
 def _check_depth(W0: float) -> None:
-    # a nan or infinite depth would never end the continuation march
+    # a nan or infinite depth would never end the continuation loop
     if not (math.isfinite(W0) and W0 <= 0):
         raise ValidationError(f"W0 must be finite and <= 0, got {W0}")
 
@@ -309,6 +311,7 @@ class _ContinuationState:
             self.y = np.vstack([zeros, zeros, zeros, rho / 2.0, np.full_like(rho, 0.5), zeros])
         self.p = np.array([0.0])
         self.sol = None
+        self.step = 0.25  # continuation step in |W0|
 
     def advance(self, W0_target: float) -> None:
         """One Newton solve at W0_target from the stored guess."""
@@ -346,25 +349,26 @@ class _ContinuationState:
         self.W0 = W0_target
         self.sol = sol
 
-    def continue_to(self, W0: float, max_step: float = MAX_CONTINUATION_STEP) -> None:
-        """March W0 downward in steps <= max_step, halving on failure."""
-        while not math.isclose(self.W0, W0, abs_tol=1e-14):
-            step = float(np.clip(W0 - self.W0, -max_step, max_step))
-            target = self.W0 + step
-            attempt = target
-            substep = step
-            while True:
-                try:
-                    self.advance(attempt)
-                    break
-                except NonConvergenceError:
-                    substep /= 2.0
-                    if abs(substep) < 1e-3:
-                        raise
-                    attempt = self.W0 + substep
-            # after a substep, loop continues toward W0
+    def continue_to(self, W0: float) -> None:
+        """Step W0 to the target: a full step that stays near the base grid
+        doubles the step, a failed solve halves it."""
+        while self.W0 != W0:
+            gap = W0 - self.W0
+            full = abs(gap) > self.step
+            target = self.W0 + math.copysign(self.step, gap) if full else W0
+            try:
+                self.advance(target)
+            except NonConvergenceError:
+                self.step /= 2.0
+                if self.step < 1e-3:
+                    raise
+                continue
+            if full and len(self.sol.x) <= 3 * self.options.grid_size:
+                self.step *= 2.0
 
     def solution(self) -> ShellSolution:
+        if self.sol is None:
+            return _trivial_solution(self.options)
         return _solution_from_bvp(self.sol, self.W0, self.membrane)
 
 
@@ -373,16 +377,16 @@ def solve_indentation(
 ) -> ShellSolution:
     """Solve the indentation BVP at prescribed dimensionless depth W0 <= 0.
 
-    Continuation marches from the unindented state in |W0| steps of at most
-    0.25, warm-starting each collocation solve from the previous one.  The
-    dimensionless force comes from the vertical force balance at the inner
-    boundary (the first-integral constant).
+    Continuation steps from the unindented state, warm-starting each
+    collocation solve from the previous one.  The step starts at 0.25 in
+    |W0|; it doubles after a full step whose refined mesh stays within three
+    times the base grid and halves after a failed solve.  The dimensionless
+    force comes from the vertical force balance at the inner boundary (the
+    first-integral constant).
     """
     if options is None:
         options = SolverOptions()
     _check_depth(W0)
-    if W0 == 0.0:
-        return _trivial_solution(options)
     state = _ContinuationState(options, options.membrane_limit, params.nu, params.tau)
     state.continue_to(float(W0))
     return state.solution()
@@ -391,9 +395,10 @@ def solve_indentation(
 def critical_depth(params: ShellParams, options: SolverOptions | None = None) -> float:
     """Depth W0 at which compressive hoop stress (wrinkling) first appears.
 
-    Membrane-limit bisection to 1e-3 in W0; the result is a universal
-    dimensionless constant (~ -2.52), independent of the dimensional
-    parameters while tau stays large.
+    Brent's method on the membrane-limit minimum hoop stress over
+    [-6, 0], to 1e-4 in W0, warm-started through one continuation state.
+    The result is a universal dimensionless constant (~ -2.53), independent
+    of the dimensional parameters while tau stays large.
     """
     if options is None:
         options = SolverOptions(membrane_limit=True)
@@ -404,33 +409,17 @@ def critical_depth(params: ShellParams, options: SolverOptions | None = None) ->
         )
     state = _ContinuationState(options, True, params.nu, params.tau)
 
-    # march down until compression appears
-    lo = 0.0  # shallower bound (no compression)
-    hi = None
-    w = 0.0
-    while hi is None:
-        w -= MAX_CONTINUATION_STEP
-        if w < -6.0:
-            raise NonConvergenceError(
-                "no compressive hoop stress found down to W0 = -6", last_good_w0=w
-            )
-        state.continue_to(w)
-        if state.solution().min_hoop_stress() < 0:
-            hi = w  # deeper bound (compression present)
-        else:
-            lo = w
+    def min_hoop_stress(W0):
+        state.continue_to(W0)
+        return state.solution().min_hoop_stress()
 
-    # bisect; warm start from the nearest converged depth each time
-    for _ in range(60):
-        if abs(lo - hi) < 1e-3:
-            break
-        mid = 0.5 * (lo + hi)
-        state.continue_to(mid)
-        if state.solution().min_hoop_stress() < 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    # W0 = 0 first: the unindented state needs no solve
+    try:
+        return float(brentq(min_hoop_stress, 0.0, -6.0, xtol=1e-4))
+    except ValueError:  # no sign change: the hoop stress at -6 is >= 0
+        raise NonConvergenceError(
+            "no compressive hoop stress found down to W0 = -6", last_good_w0=state.W0
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -226,11 +226,8 @@ class _MembraneModel:
         k = -self.rest_area * material.h
         self.force_dm_inv = tuple(k * entry for entry in self.dm_inv)
         # constant offset absorbing the residual imbalance at init
-        # (zero for a perfect sphere; reported for irregular shapes)
+        # (zero for a perfect sphere)
         self.pressure_offset = -self._scatter(self._corner_forces(x, material.Pg0, 0))
-        self.offset_residual = float(
-            np.abs(self.pressure_offset).max()
-        )
 
     def _scatter(self, corner_forces: np.ndarray) -> np.ndarray:
         """Sum (3, 3, m) per-corner forces into (n, 3) vertex forces."""

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from inflatekit.cli import main
 from inflatekit.geometry import TriMesh, icosphere, save_mesh
@@ -182,6 +184,112 @@ class TestEstimate:
         assert code == 1
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"ks": 0.64, "fit_r2": 1.0}',
+            '[{"ks": 0.64, "fit_r2": 1.0, "records": []}]',
+            '{"ks": 0.64, "fit_r2": 1.0, "records": [], "note": "x"}',
+            '{"ks": 0.64, "fit_r2": 1.0, "records": {}}',
+            '{"ks": 0.64, "fit_r2": 1.0, "records": [800]}',
+            '{"ks": 0.64, "fit_r2": 1.0, "records": [{"measured_Pg": 800}]}',
+            '{"ks": 0.64, "fit_r2": 1.0, "records": [{"measured_Pg": 800, "estimated_Pg_hat": Infinity}]}',
+            '{"ks": "0.64", "fit_r2": 1.0, "records": []}',
+            '{"ks": NaN, "fit_r2": 1.0, "records": []}',
+            '{"ks": 0.64, "fit_r2": -Infinity, "records": []}',
+            '{"ks": 1' + "0" * 400 + ', "fit_r2": 1.0, "records": []}',
+            '{"ks": 0.64,\n "fit_r2": }',
+        ],
+        ids=[
+            "without-records",
+            "top-level-list",
+            "unknown-key",
+            "records-not-a-list",
+            "record-not-an-object",
+            "record-without-estimate",
+            "infinite-estimate",
+            "string-ks",
+            "nan-ks",
+            "infinite-fit-r2",
+            "ks-beyond-float-range",
+            "bad-json",
+        ],
+    )
+    def test_malformed_calibration_is_validation_error(self, tmp_path, capsys, text):
+        cal_path = tmp_path / "calibration.json"
+        cal_path.write_text(text)
+        target = write_series(tmp_path / "target.csv", 1300.0)
+        code = main(
+            [
+                "estimate",
+                "--series", str(target), "--calibration", str(cal_path),
+                "--radius", str(R), "--thickness", str(H), "--wrinkles", "8",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+NUMBERS = st.floats() | st.integers(min_value=-(10**400), max_value=10**400)
+RECORD = st.fixed_dictionaries({"measured_Pg": NUMBERS, "estimated_Pg_hat": NUMBERS})
+# the shape `calibrate` writes, with arbitrary numbers (NaN, inf, huge ints)
+WELL_FORMED = st.fixed_dictionaries(
+    {"ks": NUMBERS, "fit_r2": NUMBERS, "records": st.lists(RECORD, max_size=2)}
+)
+# keys missing, unknown or holding values of the wrong type
+MANGLED = st.fixed_dictionaries(
+    {},
+    optional={
+        "ks": NUMBERS | JSON_VALUES,
+        "fit_r2": NUMBERS | JSON_VALUES,
+        "records": st.lists(RECORD | JSON_VALUES, max_size=2) | JSON_VALUES,
+        "extra": JSON_VALUES,
+    },
+)
+
+
+@given(
+    content=(WELL_FORMED | MANGLED | JSON_VALUES).map(json.dumps)
+    | st.text(max_size=40)
+    | st.binary(max_size=40)
+)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_calibration_file_exits_cleanly(tmp_path, capsys, content):
+    cal_path = tmp_path / "calibration.json"
+    if isinstance(content, bytes):
+        cal_path.write_bytes(content)
+    else:
+        cal_path.write_text(content, encoding="utf-8")
+    target = tmp_path / "target.csv"
+    if not target.exists():
+        write_series(target, 1300.0)
+    capsys.readouterr()
+    code = main(
+        [
+            "estimate",
+            "--series", str(target), "--calibration", str(cal_path),
+            "--radius", str(R), "--thickness", str(H), "--wrinkles", "8",
+        ]
+    )
+    out, err = capsys.readouterr()
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert err.startswith("error: ")
+
+
 class TestSolveShell:
     BASE = [
         "solve-shell",
@@ -292,6 +400,8 @@ class TestSimulate:
             {"material": MATERIAL, "indent": {"target_depth": 0.01}},
             {"material": {**MATERIAL, "E": "inf"}},
             {"material": MATERIAL, "duration": -1},
+            {"material": {**MATERIAL, "E": math.inf}},
+            {"material": MATERIAL, "gravity": [0.0, 0.0, math.nan]},
         ],
         ids=[
             "top-level-list",
@@ -300,6 +410,8 @@ class TestSimulate:
             "indent-without-vertex",
             "string-modulus",
             "negative-duration",
+            "infinite-modulus",
+            "nan-gravity",
         ],
     )
     def test_malformed_scenario_is_validation_error(self, tmp_path, capsys, data):
@@ -351,6 +463,22 @@ class TestMeshInfo:
         assert info["watertight"] is False
         assert info["n_boundary_edges"] == 3
         assert "volume_m3" not in info
+
+    def test_nan_vertex_is_validation_error(self, tmp_path, capsys):
+        mesh_path = tmp_path / "tet.obj"
+        mesh_path.write_text(
+            "v 0 0 0\nv 1 0 0\nv 0 nan 0\nv 0 0 1\nf 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n"
+        )
+        assert main(["mesh-info", "--mesh", str(mesh_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_non_utf8_mesh_is_validation_error(self, tmp_path, capsys):
+        mesh_path = tmp_path / "binary.obj"
+        mesh_path.write_bytes(b"\xff\xfe\x00v 0 0 0\n")
+        assert main(["mesh-info", "--mesh", str(mesh_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_mesh_is_io_error(self, tmp_path):
         assert main(["mesh-info", "--mesh", str(tmp_path / "nope.obj")]) == 1

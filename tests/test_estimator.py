@@ -269,6 +269,14 @@ class TestCalibrationType:
         with pytest.raises(ValidationError):
             Calibration(ks=-0.5, records=(), fit_r2=1.0)
 
-    def test_record_validation(self):
+    def test_non_finite_ks_rejected(self):
         with pytest.raises(ValidationError):
-            CalibrationRecord(measured_Pg=-800.0, estimated_Pg_hat=512.0)
+            Calibration(ks=math.inf, records=(), fit_r2=1.0)
+
+    @pytest.mark.parametrize(
+        "measured,estimated",
+        [(-800.0, 512.0), (math.inf, 512.0), (math.nan, 512.0), (800.0, math.inf), (800.0, math.nan)],
+    )
+    def test_record_validation(self, measured, estimated):
+        with pytest.raises(ValidationError):
+            CalibrationRecord(measured_Pg=measured, estimated_Pg_hat=estimated)

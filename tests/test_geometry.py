@@ -14,6 +14,7 @@ from inflatekit.errors import (
     InsufficientPatchError,
     ParseError,
     TopologyError,
+    ValidationError,
 )
 from inflatekit.geometry import (
     TriMesh,
@@ -66,6 +67,12 @@ class TestLoadMesh:
         with pytest.raises(ParseError) as err:
             load_mesh(path)
         assert err.value.line == 1
+
+    def test_nan_vertex_rejected(self, tmp_path):
+        path = tmp_path / "tet.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 nan 0\nv 0 0 1\nf 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n")
+        with pytest.raises(ValidationError, match="finite"):
+            load_mesh(path)
 
     def test_save_load_round_trip(self, tmp_path):
         mesh = icosphere(radius=0.13, subdivisions=2)
@@ -190,6 +197,13 @@ class TestTriMesh:
                 vertices=np.zeros((3, 3)),
                 faces=np.array([[0, 1, 3]]),
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        vertices = icosahedron().vertices.copy()
+        vertices[3, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            TriMesh(vertices=vertices, faces=icosahedron().faces)
 
     def test_watertight_flags(self):
         mesh = icosphere(radius=1.0, subdivisions=1)

@@ -36,8 +36,14 @@ class TestSample:
         assert s.force == 1.5
         assert s.depth == 0.01
 
-    @pytest.mark.parametrize("force,depth", [(0.0, 0.01), (-1.0, 0.01), (1.0, 0.0), (1.0, -0.01)])
-    def test_nonpositive_rejected(self, force, depth):
+    @pytest.mark.parametrize(
+        "force,depth",
+        [
+            (0.0, 0.01), (-1.0, 0.01), (1.0, 0.0), (1.0, -0.01),
+            (math.inf, 0.01), (math.nan, 0.01), (1.0, math.inf), (1.0, math.nan),
+        ],
+    )
+    def test_nonpositive_or_non_finite_rejected(self, force, depth):
         with pytest.raises(ValidationError):
             IndentationSample(force=force, depth=depth)
 
