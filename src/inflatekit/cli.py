@@ -241,6 +241,9 @@ def cmd_solve_shell(args) -> int:
         diagnostics["force"] = sol.force
         diagnostics["force_N"] = sol.force_newtons(params)
         diagnostics["annulus"] = list(sol.annulus) if sol.annulus else None
+        diagnostics["bvp_solves"] = sol.bvp_solves
+        diagnostics["bvp_iterations"] = sol.bvp_iterations
+        diagnostics["max_nodes"] = sol.max_nodes
     (out_dir / "diagnostics.json").write_text(
         json.dumps(diagnostics, indent=2) + "\n", encoding="utf-8"
     )

@@ -41,6 +41,11 @@ WRINKLE_FACTOR = 1.33
 
 DEFAULT_NU = 0.4
 
+# Longest full-system base-grid interval, in elastic lengths 1/sqrt(tau):
+# coarser far-field intervals all sit near tol, and solve_bvp then refines
+# them one or two nodes per iteration.
+ELASTIC_LENGTH_SPACING = 1.2
+
 
 @dataclass(frozen=True)
 class ShellParams:
@@ -87,11 +92,15 @@ class SolverOptions:
 
     ``tol`` is the residual tolerance of ``scipy.integrate.solve_bvp``: each
     continuation step refines its mesh until the relative collocation
-    residual is below it.  Every step starts again from the base grid of
-    ``grid_size`` nodes, so the tolerance alone sets the final mesh.  1e-6
-    serves both systems: membrane forces agree with 1e-8 solves to better
-    than 1e-8 relative, and the full system's inner bending layer
-    over-refines at tighter targets.
+    residual is below it.  Every step starts again from a fixed base grid,
+    so the tolerance alone sets the final mesh.  The membrane base grid is
+    ``grid_size`` nodes spaced geometrically over [rho0, rho_inf].  The
+    full-system one follows it until its spacing reaches 1.2 elastic
+    lengths (1/sqrt(tau)) and is uniform at that spacing beyond, so it has
+    more nodes at large tau.  1e-6 serves both systems: membrane forces
+    agree with 1e-8 solves to better than 1e-8 relative, and the full
+    system's inner bending layer over-refines at tighter targets.
+    ``max_nodes`` caps each refined mesh and must be at least ``grid_size``.
     """
 
     membrane_limit: bool = True
@@ -103,8 +112,13 @@ class SolverOptions:
     def __post_init__(self):
         if self.grid_size < 200:
             raise ValidationError("grid_size must be >= 200")
-        if self.rho_inf < 20:
-            raise ValidationError("rho_inf must be >= 20")
+        if not (math.isfinite(self.rho_inf) and self.rho_inf >= 20):
+            raise ValidationError(f"rho_inf must be finite and >= 20, got {self.rho_inf}")
+        # a zero or nan tolerance is never met: solve_bvp would refine up to max_nodes
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValidationError(f"tol must be finite and > 0, got {self.tol}")
+        if self.max_nodes < self.grid_size:
+            raise ValidationError(f"max_nodes must be >= grid_size ({self.grid_size})")
 
     @property
     def rho0(self) -> float:
@@ -114,7 +128,13 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class ShellSolution:
-    """Converged radial profiles on an ascending grid [rho0, rho_inf]."""
+    """Converged radial profiles on an ascending grid [rho0, rho_inf].
+
+    The solver counts cover the ``solve_bvp`` calls of the continuation:
+    ``bvp_solves`` counts the converged ones, ``bvp_iterations`` sums
+    ``niter`` over all of them (failed ones included) and ``max_nodes`` is
+    the largest final mesh of any.
+    """
 
     rho: np.ndarray
     W: np.ndarray
@@ -124,6 +144,9 @@ class ShellSolution:
     W0: float
     force: float  # dimensionless, F / (Pg * l_p^2)
     annulus: tuple[float, float] | None = None
+    bvp_solves: int = 0
+    bvp_iterations: int = 0
+    max_nodes: int = 0
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=float)
@@ -269,7 +292,7 @@ def _full_bc_factory(W0, nu, rho0, rho_inf):
     return bc
 
 
-def _solution_from_bvp(sol, W0, membrane: bool) -> ShellSolution:
+def _solution_from_bvp(sol, W0, membrane: bool, **counts) -> ShellSolution:
     rho = sol.x
     if membrane:
         psi, dpsi = sol.y[0], sol.y[1]
@@ -291,7 +314,23 @@ def _solution_from_bvp(sol, W0, membrane: bool) -> ShellSolution:
         W0=float(W0),
         force=2.0 * math.pi * c,
         annulus=annulus,
+        **counts,
     )
+
+
+def _base_grid(options: SolverOptions, membrane: bool, tau: float) -> np.ndarray:
+    """Geometric grid over [rho0, rho_inf]; for the full system, uniform
+    from where the geometric spacing would exceed ELASTIC_LENGTH_SPACING
+    elastic lengths."""
+    rho = np.geomspace(options.rho0, options.rho_inf, options.grid_size)
+    if membrane:
+        return rho
+    h_max = ELASTIC_LENGTH_SPACING / math.sqrt(tau)
+    k = int(np.searchsorted(np.diff(rho), h_max, side="right"))
+    if k == len(rho) - 1:
+        return rho
+    n = math.ceil((options.rho_inf - rho[k]) / h_max)
+    return np.concatenate([rho[:k], np.linspace(rho[k], options.rho_inf, n + 1)])
 
 
 class _ContinuationState:
@@ -303,7 +342,7 @@ class _ContinuationState:
         self.nu = nu
         self.tau = tau
         self.W0 = 0.0
-        rho = self.x = np.geomspace(options.rho0, options.rho_inf, options.grid_size)
+        rho = self.x = _base_grid(options, membrane, tau)
         zeros = np.zeros_like(rho)
         if membrane:
             self.y = np.vstack([rho / 2.0, np.full_like(rho, 0.5), zeros, zeros])
@@ -312,6 +351,7 @@ class _ContinuationState:
         self.p = np.array([0.0])
         self.sol = None
         self.step = 0.25  # continuation step in |W0|
+        self.bvp_solves = self.bvp_iterations = self.max_nodes = 0
 
     def advance(self, W0_target: float) -> None:
         """One Newton solve at W0_target from the stored guess."""
@@ -338,6 +378,8 @@ class _ContinuationState:
         sol = solve_bvp(
             rhs, bc, x, y, p=p, tol=opts.tol, max_nodes=opts.max_nodes
         )
+        self.bvp_iterations += int(sol.niter)
+        self.max_nodes = max(self.max_nodes, len(sol.x))
         if sol.status != 0:
             raise NonConvergenceError(
                 f"BVP solver failed at W0={W0_target} ({sol.message})",
@@ -348,6 +390,7 @@ class _ContinuationState:
         self.y, self.p = sol.sol(x), sol.p
         self.W0 = W0_target
         self.sol = sol
+        self.bvp_solves += 1
 
     def continue_to(self, W0: float) -> None:
         """Step W0 to the target: a full step that stays near the base grid
@@ -369,7 +412,14 @@ class _ContinuationState:
     def solution(self) -> ShellSolution:
         if self.sol is None:
             return _trivial_solution(self.options)
-        return _solution_from_bvp(self.sol, self.W0, self.membrane)
+        return _solution_from_bvp(
+            self.sol,
+            self.W0,
+            self.membrane,
+            bvp_solves=self.bvp_solves,
+            bvp_iterations=self.bvp_iterations,
+            max_nodes=self.max_nodes,
+        )
 
 
 def solve_indentation(
@@ -378,9 +428,12 @@ def solve_indentation(
     """Solve the indentation BVP at prescribed dimensionless depth W0 <= 0.
 
     Continuation steps from the unindented state, warm-starting each
-    collocation solve from the previous one.  The step starts at 0.25 in
-    |W0|; it doubles after a full step whose refined mesh stays within three
-    times the base grid and halves after a failed solve.  The dimensionless
+    collocation solve from the previous one on a fixed base grid (see
+    `SolverOptions`; the full-system one resolves the elastic length
+    1/sqrt(tau)).  The step starts at 0.25 in |W0|; it doubles after a full
+    step whose refined mesh stays within 3 * ``grid_size`` nodes and halves
+    after a failed solve.  The solution reports the collocation solves,
+    iterations and largest mesh the continuation took.  The dimensionless
     force comes from the vertical force balance at the inner boundary (the
     first-integral constant).
     """

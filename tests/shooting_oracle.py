@@ -74,7 +74,11 @@ def _survives(sol, rho0):
 
 
 def _boundary_amplitude(c, rho0=0.02, rho_inf=10.0, iters=80):
-    """Bisect the mode amplitude to the crash/survive boundary."""
+    """Bisect the mode amplitude to the crash/survive boundary.
+
+    Stops at a relative bracket width of 1e-8: narrower brackets leave the
+    force constant unchanged and only add integrations.
+    """
     b_lo, b_hi = -1.0, 4.0
     if _survives(integrate_inward(c, b_lo, rho0, rho_inf), rho0):
         raise RuntimeError("bracket failure: lower amplitude already survives")
@@ -83,6 +87,8 @@ def _boundary_amplitude(c, rho0=0.02, rho_inf=10.0, iters=80):
         if b_hi > 1e4:
             raise RuntimeError("bracket failure: upper amplitude crashes")
     for _ in range(iters):
+        if b_hi - b_lo <= 1e-8 * abs(b_hi):
+            break
         b_mid = 0.5 * (b_lo + b_hi)
         if b_mid in (b_lo, b_hi):
             break

@@ -305,6 +305,7 @@ class TestSolveShell:
         diag = json.loads((tmp_path / "diagnostics.json").read_text())
         assert diag["force"] == 0.0
         assert diag["annulus"] is None
+        assert (diag["bvp_solves"], diag["bvp_iterations"], diag["max_nodes"]) == (0, 0, 0)
         assert diag["n_predicted"] == 9
         assert diag["tau"] == pytest.approx(41.0, abs=0.5)
 
@@ -318,6 +319,10 @@ class TestSolveShell:
         assert diag["force_N"] == pytest.approx(
             diag["force"] * 1300.0 * (1300.0 * R**3 / (2.3e6 * H)), rel=1e-9
         )
+        # the solver's work: one or more solves, the final mesh written out
+        rows = len(np.loadtxt(tmp_path / "profile.csv", delimiter=",", skiprows=1))
+        assert 1 <= diag["bvp_solves"] <= diag["bvp_iterations"]
+        assert diag["max_nodes"] >= rows
 
     def test_positive_depth_rejected(self, tmp_path):
         code = main(self.BASE + ["--W0", "1.5", "--out", str(tmp_path)])

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inflatekit import shell
 from inflatekit.errors import NonConvergenceError, ValidationError
 from inflatekit.shell import (
     ShellParams,
@@ -24,6 +25,7 @@ from inflatekit.shell import (
     solve_indentation,
     solution_to_csv,
     wrinkle_count,
+    _base_grid,
     _ContinuationState,
 )
 
@@ -79,6 +81,23 @@ class TestSolverOptions:
     def test_grid_size_floor(self):
         with pytest.raises(ValidationError):
             SolverOptions(grid_size=100)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("tol", 0.0),  # never met: the solve would not end
+            ("tol", -1.0),
+            ("tol", math.nan),
+            ("tol", math.inf),
+            ("rho_inf", math.inf),
+            ("rho_inf", math.nan),
+            ("max_nodes", 0),
+            ("max_nodes", 399),
+        ],
+    )
+    def test_bad_settings_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            SolverOptions(**{field: value})
 
     def test_rho_inf_floor(self):
         with pytest.raises(ValidationError):
@@ -167,6 +186,67 @@ class TestWarmStart:
     def test_default_tol_matches_tight_tol_force(self, sol_m4):
         tight = solve_indentation(BALL, -4.0, SolverOptions(tol=1e-8))
         assert sol_m4.force == pytest.approx(tight.force, rel=1e-6)
+
+
+class TestFullSystemGrid:
+    """The full-system base grid resolves the elastic length 1/sqrt(tau);
+    on the geometric grid alone the far field was refined one or two nodes
+    per collocation iteration (82 iterations at tau = 100, W0 = -3)."""
+
+    def test_no_interval_longer_than_the_elastic_spacing(self):
+        options = SolverOptions(membrane_limit=False)
+        geometric = np.geomspace(options.rho0, options.rho_inf, options.grid_size)
+        for tau in (10.0, 100.0, 400.0):
+            rho = _base_grid(options, False, tau)
+            assert rho[0] == options.rho0 and rho[-1] == options.rho_inf
+            assert np.all(np.diff(rho) > 0)
+            assert np.diff(rho).max() <= 1.2 / math.sqrt(tau) * (1 + 1e-12)
+            # the inner layer keeps the geometric spacing
+            k = np.searchsorted(rho, 1.0)
+            np.testing.assert_array_equal(rho[:k], geometric[:k])
+
+    def test_membrane_and_low_tau_grids_are_geometric(self):
+        options = SolverOptions()
+        geometric = np.geomspace(options.rho0, options.rho_inf, options.grid_size)
+        np.testing.assert_array_equal(_base_grid(options, True, 400.0), geometric)
+        # at tau = 1 every geometric interval is shorter than 1.2
+        np.testing.assert_array_equal(_base_grid(options, False, 1.0), geometric)
+
+    def test_tau100_takes_few_iterations(self, tau100_pair):
+        _, full = tau100_pair
+        assert full.bvp_iterations <= 40
+
+    def test_tau100_force_unchanged(self, tau100_pair):
+        _, full = tau100_pair
+        assert full.force == pytest.approx(4.775841741894313, rel=1e-8)
+
+    def test_onset_unchanged(self):
+        # the membrane grid did not move, so neither did the onset
+        assert critical_depth(BALL) == pytest.approx(-2.5306023445840378, abs=1e-10)
+
+
+class TestSolverCounts:
+    """The counts on the result equal what a wrap of shell.solve_bvp sees."""
+
+    @pytest.mark.parametrize("membrane", [True, False], ids=["membrane", "full"])
+    def test_counts_match_a_wrap_of_solve_bvp(self, monkeypatch, membrane):
+        calls = []
+        solve = shell.solve_bvp
+
+        def counted(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            calls.append(sol)
+            return sol
+
+        monkeypatch.setattr(shell, "solve_bvp", counted)
+        sol = solve_indentation(BALL, -1.5, SolverOptions(membrane_limit=membrane))
+        assert sol.bvp_solves == sum(c.status == 0 for c in calls) > 0
+        assert sol.bvp_iterations == sum(c.niter for c in calls)
+        assert sol.max_nodes == max(len(c.x) for c in calls) >= len(sol.rho)
+
+    def test_unindented_state_reports_zero(self):
+        sol = solve_indentation(BALL, 0.0)
+        assert (sol.bvp_solves, sol.bvp_iterations, sol.max_nodes) == (0, 0, 0)
 
 
 def test_force_monotone_in_depth():
