@@ -40,7 +40,7 @@ def bounce():
     for _ in range(int(2.2 * t_fall / config.dt)):
         state = step(state, config)
         if state.time > 1.1 * t_fall:
-            peak = max(peak, float(state.mesh.vertices[:, 2].min()))
+            peak = max(peak, float(state.vertices[:, 2].min()))
     print(f"dropped from {h0} m, rebounded to {peak:.3f} m "
           f"(restitution^2 * h0 = {0.75**2 * h0:.3f} m)")
 

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    DegenerateFitError,
     EmptyContactError,
     InflatekitError,
     NonConvergenceError,
@@ -60,12 +59,6 @@ EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-_VALIDATION_ERRORS = (
-    ValidationError,
-    ParseError,
-    TopologyError,
-    DegenerateFitError,
-)
 _NUMERICAL_ERRORS = (
     NonConvergenceError,
     SimulationInstabilityError,
@@ -438,9 +431,6 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except InflatekitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

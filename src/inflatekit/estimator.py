@@ -80,6 +80,8 @@ class Calibration:
         object.__setattr__(self, "records", tuple(self.records))
         if not (0 < self.ks < math.inf):
             raise ValidationError(f"ks must be finite and > 0, got {self.ks}")
+        if not math.isfinite(self.fit_r2):
+            raise ValidationError(f"fit_r2 must be finite, got {self.fit_r2}")
 
 
 @dataclass(frozen=True)

@@ -406,7 +406,7 @@ class _ContinuationState:
                 if self.step < 1e-3:
                     raise
                 continue
-            if full and len(self.sol.x) <= 3 * self.options.grid_size:
+            if full and len(self.sol.x) <= 3 * len(self.x):
                 self.step *= 2.0
 
     def solution(self) -> ShellSolution:
@@ -431,9 +431,9 @@ def solve_indentation(
     collocation solve from the previous one on a fixed base grid (see
     `SolverOptions`; the full-system one resolves the elastic length
     1/sqrt(tau)).  The step starts at 0.25 in |W0|; it doubles after a full
-    step whose refined mesh stays within 3 * ``grid_size`` nodes and halves
-    after a failed solve.  The solution reports the collocation solves,
-    iterations and largest mesh the continuation took.  The dimensionless
+    step whose refined mesh stays within three times the base grid's nodes
+    and halves after a failed solve.  The solution reports the collocation
+    solves, iterations and largest mesh the continuation took.  The dimensionless
     force comes from the vertical force balance at the inner boundary (the
     first-integral constant).
     """

@@ -17,7 +17,8 @@ shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq, minimize
@@ -227,7 +228,7 @@ class _MembraneModel:
         self.force_dm_inv = tuple(k * entry for entry in self.dm_inv)
         # constant offset absorbing the residual imbalance at init
         # (zero for a perfect sphere)
-        self.pressure_offset = -self._scatter(self._corner_forces(x, material.Pg0, 0))
+        self.pressure_offset = -self._forces(*self._geometry(x)[:3], material.Pg0, 0)
 
     def _scatter(self, corner_forces: np.ndarray) -> np.ndarray:
         """Sum (3, 3, m) per-corner forces into (n, 3) vertex forces."""
@@ -236,22 +237,23 @@ class _MembraneModel:
             self._corner_slot, weights=corner_forces.ravel(), minlength=3 * n
         ).reshape(n, 3)
 
-    def _edges(self, x: np.ndarray):
-        """Edge vectors x1 - x0 and x2 - x0 of every face, (3, m) each."""
+    def _geometry(self, x: np.ndarray):
+        """Edge vectors e1 = x1 - x0 and e2 = x2 - x0, doubled face vector
+        areas n = e1 x e2 (each (3, m)) and the enclosed volume sum x0.n / 6,
+        all from one gather of the face corners."""
         corners = x.T.ravel().take(self._corner_gather).reshape(3, 3, -1)
         x0 = corners[:, 0]
-        return corners[:, 1] - x0, corners[:, 2] - x0
+        e1 = corners[:, 1] - x0
+        e2 = corners[:, 2] - x0
+        n = np.stack([e1[1] * e2[2] - e1[2] * e2[1],
+                      e1[2] * e2[0] - e1[0] * e2[2],
+                      e1[0] * e2[1] - e1[1] * e2[0]])
+        return e1, e2, n, float((x0 * n).sum() / 6.0)
 
     @staticmethod
-    def _pressure_corner_forces(e1, e2, pg: float) -> np.ndarray:
+    def _pressure_corner_forces(n, pg: float) -> np.ndarray:
         """Pg times face vector area, a third on each corner, (3, 3, m)."""
-        third = (pg / 6.0) * np.stack(
-            [
-                e1[1] * e2[2] - e1[2] * e2[1],
-                e1[2] * e2[0] - e1[0] * e2[2],
-                e1[0] * e2[1] - e1[1] * e2[0],
-            ]
-        )
+        third = (pg / 6.0) * n
         return np.broadcast_to(third[:, None, :], (3, 3, third.shape[1]))
 
     def _strain(self, e1, e2):
@@ -295,27 +297,31 @@ class _MembraneModel:
         f2 = kd * p2
         return np.stack([-(f1 + f2), f1, f2], axis=1)
 
-    def _corner_forces(self, x: np.ndarray, pg: float, frame: int | None) -> np.ndarray:
-        """Elastic plus pressure forces on each face corner, (3, 3, m)."""
-        e1, e2 = self._edges(x)
-        return self._elastic_corner_forces(e1, e2, frame) + self._pressure_corner_forces(
-            e1, e2, pg
-        )
+    def _forces(self, e1, e2, n, pg: float, frame: int | None) -> np.ndarray:
+        """Elastic plus pressure forces, summed per face corner and scattered once."""
+        corner = self._elastic_corner_forces(e1, e2, frame) + self._pressure_corner_forces(n, pg)
+        return self._scatter(corner)
 
     def _pressure_forces(self, x: np.ndarray, pg: float) -> np.ndarray:
         """Pg times face vector area, lumped equally to the face's vertices."""
-        return self._scatter(self._pressure_corner_forces(*self._edges(x), pg))
+        return self._scatter(self._pressure_corner_forces(self._geometry(x)[2], pg))
 
     def _elastic_forces(self, x: np.ndarray, frame: int) -> np.ndarray:
         """Neo-Hookean membrane forces (plane-stress, thickness-integrated)."""
-        return self._scatter(self._elastic_corner_forces(*self._edges(x), frame))
+        return self._scatter(self._elastic_corner_forces(*self._geometry(x)[:2], frame))
 
-    def internal_forces(self, x: np.ndarray, pg: float, frame: int | None) -> np.ndarray:
+    def internal_forces(self, x: np.ndarray, pg: float | None = None, frame: int | None = None):
         """Elastic + pressure + prestress offset (sums to ~0 at rest).
 
-        Both force terms are summed per face corner and scattered once.
+        pg defaults to the gas pressure of x's own enclosed volume; that
+        volume at or below zero raises SimulationInstabilityError.
         """
-        return self._scatter(self._corner_forces(x, pg, frame)) + self.pressure_offset
+        e1, e2, n, volume = self._geometry(x)
+        if pg is None:
+            if not volume > 0:
+                raise SimulationInstabilityError("enclosed volume collapsed", frame=frame)
+            pg = _gas_pressure(self, volume)
+        return self._forces(e1, e2, n, pg, frame) + self.pressure_offset
 
     def potential(self, x: np.ndarray, gravity: np.ndarray):
         """Total potential energy at x and its gradient, (float, (n, 3)).
@@ -323,12 +329,11 @@ class _MembraneModel:
         Membrane energy, gas potential and the work of the prestress offset
         and the (n, 3) gravity loads; inf if an element or the volume
         collapsed.  On a closed mesh the lumped pressure load is dV/dx, so
-        the gradient is -(internal_forces(x, Pg(V)) + gravity).
+        the gradient is -(internal_forces(x) + gravity).
         """
         mat = self.material
-        _, _, c11, _, c22, det_c = self._strain(*self._edges(x))
-        # TriMesh freezes the array it is given, so it gets a copy of x
-        volume = signed_volume(TriMesh(vertices=x.copy(), faces=self.faces))
+        e1, e2, n, volume = self._geometry(x)
+        _, _, c11, _, c22, det_c = self._strain(e1, e2)
         if (det_c <= DET_C_MIN).any() or not volume > 0:
             return math.inf, np.zeros_like(x)
         log_j = 0.5 * np.log(det_c)
@@ -338,36 +343,49 @@ class _MembraneModel:
         gas = -mat.Pg0 * volume  # -d(gas)/dV is _gas_pressure
         if mat.gas_model == "isothermal":
             gas = P_ATM * volume - (P_ATM + mat.Pg0) * self.rest_volume * math.log(volume)
-        net = self.internal_forces(x, _gas_pressure(self, volume), None) + gravity
-        work = float(((self.pressure_offset + gravity) * x).sum())
+        load = self.pressure_offset + gravity
+        net = self._forces(e1, e2, n, _gas_pressure(self, volume), None) + load
+        work = float((load * x).sum())
         return membrane + gas - work, -net
 
 
 @dataclass(frozen=True)
 class SimState:
-    """Snapshot of the membrane simulation at one instant."""
+    """Snapshot of the membrane simulation at one instant.
 
-    mesh: TriMesh
+    Holds what the integrator advances; the mesh, enclosed volume and gas
+    pressure are derived from the (read-only) positions on read.
+    """
+
+    vertices: np.ndarray  # (n, 3) m
     velocities: np.ndarray  # (n, 3) m/s
-    rest_mesh: TriMesh
-    volume: float  # m^3
-    Pg: float  # Pa
     time: float  # s
+    _model: _MembraneModel = field(repr=False, compare=False)
     # per-plane contact bookkeeping: (in_contact, incoming COM normal speed)
     contact_state: tuple = ()
-    _model: _MembraneModel | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        v = np.asarray(self.velocities, dtype=float)
-        if v.shape != (self.mesh.n_vertices, 3):
-            raise ValidationError(
-                f"velocities must have shape ({self.mesh.n_vertices}, 3)"
-            )
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "velocities", v)
-        if not (self.volume > 0):
-            raise ValidationError("volume must be > 0")
+        n = len(self._model.masses)
+        for name in ("vertices", "velocities"):
+            a = np.array(getattr(self, name), dtype=float)
+            if a.shape != (n, 3):
+                raise ValidationError(f"{name} must have shape ({n}, 3)")
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @cached_property
+    def mesh(self) -> TriMesh:
+        return TriMesh(vertices=self.vertices, faces=self._model.faces)
+
+    @cached_property
+    def volume(self) -> float:
+        """Enclosed volume, m^3."""
+        return self._model._geometry(self.vertices)[3]
+
+    @property
+    def Pg(self) -> float:
+        """Gauge pressure of the gas at this volume, Pa."""
+        return _gas_pressure(self._model, self.volume)
 
     @property
     def kinetic_energy(self) -> float:
@@ -378,7 +396,7 @@ class SimState:
     def centroid(self) -> np.ndarray:
         """Center of mass of the lumped vertex masses."""
         m = self._model.masses
-        return (m[:, None] * self.mesh.vertices).sum(axis=0) / m.sum()
+        return (m[:, None] * self.vertices).sum(axis=0) / m.sum()
 
     @property
     def momentum(self) -> np.ndarray:
@@ -398,16 +416,8 @@ def init_sim(mesh: TriMesh, material: MaterialSpec) -> SimState:
             boundary_edges=mesh.boundary_edges(),
         )
     model = _MembraneModel(mesh, material)
-    return SimState(
-        mesh=mesh,
-        velocities=np.zeros((mesh.n_vertices, 3)),
-        rest_mesh=mesh,
-        volume=model.rest_volume,
-        Pg=material.Pg0,
-        time=0.0,
-        contact_state=(),
-        _model=model,
-    )
+    return SimState(vertices=mesh.vertices, velocities=np.zeros((mesh.n_vertices, 3)),
+                    time=0.0, _model=model)
 
 
 def _gas_pressure(model: _MembraneModel, volume: float) -> float:
@@ -420,16 +430,18 @@ def _gas_pressure(model: _MembraneModel, volume: float) -> float:
 def step(state: SimState, config: ScenarioConfig) -> SimState:
     """Advance one semi-implicit Euler step of size config.dt.
 
+    Forces are taken at the gas pressure of the state's own volume; a
+    volume at or below zero raises SimulationInstabilityError.
     Deterministic: identical inputs produce bit-identical successors.
     """
     model = state._model
     dt = config.dt
     frame = int(round(state.time / dt))
-    x = state.mesh.vertices
-    v = state.velocities.copy()
+    x = state.vertices
+    v = state.velocities
     m = model.masses[:, None]
 
-    forces = model.internal_forces(x, state.Pg, frame)
+    forces = model.internal_forces(x, frame=frame)
     forces += m * np.asarray(config.gravity)
     if config.damping > 0:
         forces -= config.damping * m * v
@@ -476,19 +488,8 @@ def step(state: SimState, config: ScenarioConfig) -> SimState:
             "non-finite state after step", frame=frame + 1
         )
 
-    mesh = state.mesh.with_vertices(x_new)
-    volume = signed_volume(mesh)
-    if not volume > 0:
-        raise SimulationInstabilityError("enclosed volume collapsed", frame=frame + 1)
-    return replace(
-        state,
-        mesh=mesh,
-        velocities=v,
-        volume=volume,
-        Pg=_gas_pressure(model, volume),
-        time=state.time + dt,
-        contact_state=tuple(new_contact),
-    )
+    return SimState(vertices=x_new, velocities=v, time=state.time + dt,
+                    contact_state=tuple(new_contact), _model=model)
 
 
 def run(state: SimState, config: ScenarioConfig) -> SimState:
@@ -535,7 +536,7 @@ def indent_virtual(
             f"target_depth must be finite and > 0 to collect samples, got {target_depth}"
         )
     ind = config.indenter
-    if not (0 <= ind.vertex < state.mesh.n_vertices):
+    if not (0 <= ind.vertex < len(state.vertices)):
         raise ValidationError(f"indenter vertex {ind.vertex} out of range")
     if n_levels is None:
         n_levels = max(3, math.ceil(target_depth / 0.005))
@@ -543,7 +544,7 @@ def indent_virtual(
         raise InsufficientDataError("need at least 3 depth levels")
 
     axis = np.asarray(ind.axis)
-    x = state.mesh.vertices.copy()
+    x = state.vertices.copy()
     model = state._model
     gravity = model.masses[:, None] * np.asarray(config.gravity)
     # support: hold the 30-degree cap around the axis antipode fixed
@@ -560,7 +561,7 @@ def indent_virtual(
     samples = []
     for level in range(1, n_levels + 1):
         depth = target_depth * level / n_levels
-        x[ind.vertex] = state.mesh.vertices[ind.vertex] + depth * axis
+        x[ind.vertex] = state.vertices[ind.vertex] + depth * axis
         # gtol bounds each force component, so the norm stays below the tol
         result = minimize(
             potential,
@@ -570,8 +571,7 @@ def indent_virtual(
             options={"gtol": RELAX_FORCE_TOL / 2.0, "ftol": 0.0},
         )
         x[free] = result.x.reshape(-1, 3)
-        volume = signed_volume(state.mesh.with_vertices(x.copy()))
-        f = model.internal_forces(x, _gas_pressure(model, volume), None) + gravity
+        f = model.internal_forces(x) + gravity
         residual = float(np.linalg.norm(f[free], axis=1).max())
         if not residual < RELAX_FORCE_TOL:
             raise RelaxationTimeoutError(
@@ -610,7 +610,7 @@ def measure_deformation(
     n_hat = np.asarray(plane_normal, dtype=float)
     n_hat = n_hat / np.linalg.norm(n_hat)
     p0 = np.asarray(plane_point, dtype=float)
-    x = state.mesh.vertices
+    x = state.vertices
     height = (x - p0) @ n_hat
     h_total = float(height.max() - height.min())
 

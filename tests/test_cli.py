@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from inflatekit.cli import main
@@ -96,6 +96,26 @@ class TestCalibrate:
         )
         assert code == 0
         assert "millimeters" in capsys.readouterr().err
+
+    def test_overflowing_fit_is_validation_error(self, tmp_path, capsys):
+        # forces near 1e300 N overflow the squared residuals: fit_r2 is NaN,
+        # which must not be written as the non-standard JSON constant NaN
+        huge = tmp_path / "huge.csv"
+        huge.write_text("force_N,depth_m\n1e300,0.005\n1e300,0.01\n1e300,0.015\n")
+        s2000 = write_series(tmp_path / "b.csv", 2000.0)
+        cal_path = tmp_path / "cal.json"
+        code = main(
+            [
+                "calibrate",
+                "--series", str(huge), "--pressure", "800",
+                "--series", str(s2000), "--pressure", "2000",
+                "--radius", str(R), "--thickness", str(H),
+                "--out", str(cal_path),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: fit_r2 must be finite")
+        assert not cal_path.exists()
 
 
 class TestEstimate:
@@ -288,6 +308,108 @@ def test_any_calibration_file_exits_cleanly(tmp_path, capsys, content):
         json.loads(out, parse_constant=_reject_constant)
     else:
         assert err.startswith("error: ")
+
+
+def _assert_clean_exit(code, out, err):
+    """Exit code in {0, 1, 2, 3}; an error line without a traceback on
+    failure, strict JSON (when given) on success."""
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 0:
+        if out is not None:
+            json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert any(line.startswith("error: ") for line in err.splitlines())
+
+
+# a number as an OBJ or CSV field: positive, huge, infinite or NaN floats,
+# integers beyond the float and int64 ranges, or a short junk token
+POSITIVE = (st.floats(min_value=1e-3, max_value=10.0) | st.floats(min_value=1e-6, max_value=1e308)).map(
+    repr
+)
+FIELD = (
+    POSITIVE
+    | st.floats().map(repr)
+    | st.integers(min_value=-(10**30), max_value=10**30).map(str)
+    | st.text(alphabet="0123456789.-+eE/nai ", max_size=6)
+)
+INDEX = st.integers(-6, 8).map(str)
+OBJ_LINE = (
+    st.tuples(FIELD, FIELD, FIELD).map(lambda f: " ".join(["v", *f]))
+    | st.lists(INDEX, min_size=3, max_size=4).map(lambda f: " ".join(["f", *f]))
+    | st.tuples(st.sampled_from("vf"), st.lists(FIELD | INDEX, max_size=5)).map(
+        lambda t: " ".join([t[0], *t[1]])
+    )
+    | st.text(max_size=12)
+)
+TETRAHEDRON = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n"
+
+
+@given(
+    content=st.lists(OBJ_LINE, max_size=10).map("\n".join)
+    | st.lists(OBJ_LINE, max_size=4).map(lambda lines: TETRAHEDRON + "\n".join(lines))
+    | st.binary(max_size=40)
+)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_obj_file_exits_cleanly(tmp_path, capsys, content):
+    mesh_path = tmp_path / "mesh.obj"
+    if isinstance(content, bytes):
+        mesh_path.write_bytes(content)
+    else:
+        mesh_path.write_text(content, encoding="utf-8")
+    capsys.readouterr()
+    code = main(["mesh-info", "--mesh", str(mesh_path)])
+    _assert_clean_exit(code, *capsys.readouterr())
+
+
+SERIES_ROW = st.tuples(FIELD, FIELD).map(",".join) | st.text(max_size=12)
+# a header, rows of positive numbers, then a few arbitrary rows
+SERIES_CSV = (
+    st.tuples(
+        st.sampled_from(["force_N,depth_m", "force_N, depth_m", ""]),
+        st.lists(st.tuples(POSITIVE, POSITIVE).map(",".join), min_size=3, max_size=5),
+        st.lists(SERIES_ROW, max_size=2),
+    ).map(lambda doc: "\n".join([doc[0], *doc[1], *doc[2]]))
+    | st.text(max_size=40)
+    | st.binary(max_size=40)
+)
+
+
+@given(content=SERIES_CSV)
+@example(content="force_N,depth_m\n1e300,0.005\n1e300,0.01\n1e300,0.015\n")
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_series_file_exits_cleanly(tmp_path, capsys, content):
+    # the fuzzed series is calibrated next to a good one and estimated with
+    # a good calibration
+    series = tmp_path / "series.csv"
+    if isinstance(content, bytes):
+        series.write_bytes(content)
+    else:
+        series.write_text(content, encoding="utf-8")
+    good = tmp_path / "good.csv"
+    if not good.exists():
+        write_series(good, 2000.0)
+        write_calibration(tmp_path)
+    fuzz_cal = tmp_path / "fuzz_calibration.json"
+    capsys.readouterr()
+    code = main(
+        [
+            "calibrate",
+            "--series", str(series), "--pressure", "800",
+            "--series", str(good), "--pressure", "2000",
+            "--radius", str(R), "--thickness", str(H),
+            "--out", str(fuzz_cal),
+        ]
+    )
+    _assert_clean_exit(code, fuzz_cal.read_text() if code == 0 else None, capsys.readouterr().err)
+    code = main(
+        [
+            "estimate",
+            "--series", str(series), "--calibration", str(tmp_path / "calibration.json"),
+            "--radius", str(R), "--thickness", str(H), "--wrinkles", "8",
+        ]
+    )
+    _assert_clean_exit(code, *capsys.readouterr())
 
 
 class TestSolveShell:

@@ -220,6 +220,15 @@ class TestFullSystemGrid:
         _, full = tau100_pair
         assert full.force == pytest.approx(4.775841741894313, rel=1e-8)
 
+    def test_step_doubling_tracks_the_base_grid(self):
+        # at tau = 200 the refined meshes exceed 3 * grid_size nodes but stay
+        # within three base grids, so the continuation step still doubles
+        params = ShellParams(R=0.11, h=1.2e-3, E=1.1e6, nu=0.4, Pg=2000.0)
+        params = _rescale_to_tau(params, 200.0)
+        sol = solve_indentation(params, -5.0, SolverOptions(membrane_limit=False))
+        assert sol.max_nodes > 3 * SolverOptions().grid_size
+        assert sol.bvp_solves <= 5
+
     def test_onset_unchanged(self):
         # the membrane grid did not move, so neither did the onset
         assert critical_depth(BALL) == pytest.approx(-2.5306023445840378, abs=1e-10)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from inflatekit import geometry, simulator
 from inflatekit.errors import (
     EmptyContactError,
     InsufficientDataError,
@@ -113,13 +114,26 @@ class TestInit:
         state = ball_state()
         with pytest.raises(ValidationError):
             SimState(
-                mesh=state.mesh,
+                vertices=state.vertices,
                 velocities=np.zeros((3, 3)),
-                rest_mesh=state.rest_mesh,
-                volume=state.volume,
-                Pg=state.Pg,
                 time=0.0,
+                _model=state._model,
             )
+
+    def test_positions_and_velocities_read_only(self):
+        state = step(ball_state(), FREE_FALL)
+        for array in (state.vertices, state.velocities):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+    def test_volume_matches_signed_volume(self):
+        state = ball_state(subdivisions=3)
+        rng = np.random.default_rng(5)
+        x = state.vertices * (1.0 + 0.03 * rng.standard_normal((len(state.vertices), 1)))
+        state = replace(state, vertices=x + 0.002 * rng.standard_normal(x.shape))
+        assert len(state.vertices) == 642
+        assert state.volume == pytest.approx(signed_volume(state.mesh), rel=1e-12)
+        assert state.Pg == _gas_pressure(state._model, state.volume)
 
     def test_equivalent_radius(self):
         state = ball_state(subdivisions=3)
@@ -139,11 +153,8 @@ class TestDynamics:
         state = ball_state()
         v0 = np.tile([0.3, -0.1, 0.2], (state.mesh.n_vertices, 1))
         state = SimState(
-            mesh=state.mesh,
+            vertices=state.vertices,
             velocities=v0,
-            rest_mesh=state.rest_mesh,
-            volume=state.volume,
-            Pg=state.Pg,
             time=0.0,
             _model=state._model,
         )
@@ -169,6 +180,37 @@ class TestDynamics:
         np.testing.assert_array_equal(a.mesh.vertices, b.mesh.vertices)
         np.testing.assert_array_equal(a.velocities, b.velocities)
 
+    def test_step_makes_one_geometry_pass(self, monkeypatch):
+        # the successor is built from positions alone: no mesh is rebuilt
+        # or validated and the volume is not gathered a second time
+        state = ball_state()
+        calls = []
+        post_init = TriMesh.__post_init__
+
+        def counted_post_init(mesh):
+            calls.append("TriMesh")
+            post_init(mesh)
+
+        def counted_volume(mesh):
+            calls.append("signed_volume")
+            return signed_volume(mesh)
+
+        monkeypatch.setattr(TriMesh, "__post_init__", counted_post_init)
+        monkeypatch.setattr(simulator, "signed_volume", counted_volume)
+        monkeypatch.setattr(geometry, "signed_volume", counted_volume)
+        for _ in range(3):
+            state = step(state, FREE_FALL)
+        assert calls == []
+
+    def test_collapsed_volume_raises(self):
+        # mirrored positions keep every element's metric but turn the
+        # enclosed volume negative
+        state = ball_state()
+        inverted = replace(state, vertices=-state.vertices)
+        assert inverted.volume < 0
+        with pytest.raises(SimulationInstabilityError, match="volume collapsed"):
+            step(inverted, NO_GRAVITY)
+
     def test_constant_pressure_model_holds_pg(self):
         state = run(ball_state(), ScenarioConfig(duration=0.05))
         assert state.Pg == 1300.0
@@ -182,11 +224,8 @@ class TestDynamics:
         # squeeze the ball slightly so the volume actually changes
         v = -50.0 * state.mesh.vertices  # radially inward
         state = SimState(
-            mesh=state.mesh,
+            vertices=state.vertices,
             velocities=v,
-            rest_mesh=state.rest_mesh,
-            volume=state.volume,
-            Pg=state.Pg,
             time=0.0,
             _model=state._model,
         )
@@ -374,7 +413,7 @@ class TestForceKernelMatchesReference:
         ) + 0.002 * rng.standard_normal(state.mesh.vertices.shape)
         pg = 1450.0
         masses, elastic, pressure = reference_forces(
-            state.rest_mesh, MATERIAL, model.prestretch, x, pg
+            state.mesh, MATERIAL, model.prestretch, x, pg
         )
         scale = np.abs(elastic).max()
 
@@ -414,15 +453,11 @@ RELAX_DAMPING = 50.0  # 1/s
 def pinned_step(state, config, pinned, pinned_positions):
     """step() with the pinned vertices held in place at zero velocity."""
     state = step(state, config)
-    x = state.mesh.vertices.copy()
+    x = state.vertices.copy()
     v = state.velocities.copy()
     x[pinned] = pinned_positions
     v[pinned] = 0.0
-    mesh = state.mesh.with_vertices(x)
-    volume = signed_volume(mesh)
-    return replace(
-        state, mesh=mesh, velocities=v, volume=volume, Pg=_gas_pressure(state._model, volume)
-    )
+    return replace(state, vertices=x, velocities=v)
 
 
 def damped_indentation_forces(state, config, target_depth, n_levels, speed=0.01):
