@@ -139,12 +139,13 @@ class _JsonInput:
         self.check(isinstance(value, list) and len(value) == 3, f"{name} must be 3 numbers")
         return tuple(self.number(v, name) for v in value)
 
-    def table(self, value, name, required, exact=False):
-        """Check value is an object with the required keys (and no others if exact)."""
+    def table(self, value, name, required, optional=()):
+        """Check value is an object with the required keys and no keys beyond
+        the required and optional ones."""
         self.check(isinstance(value, dict), f"{name} must be an object")
         missing = [key for key in required if key not in value]
         self.check(not missing, f"{name} lacks {missing}")
-        unknown = sorted(set(value) - set(required)) if exact else []
+        unknown = sorted(set(value) - {*required, *optional})
         self.check(not unknown, f"unknown {name} keys {unknown}")
         return value
 
@@ -159,11 +160,11 @@ def _load_calibration(path) -> Calibration:
     A malformed structure or value raises ParseError or ValidationError.
     """
     doc = _JsonInput(path)
-    data = doc.table(doc.data, "calibration JSON", _CALIBRATION_KEYS, exact=True)
+    data = doc.table(doc.data, "calibration JSON", _CALIBRATION_KEYS)
     doc.check(isinstance(data["records"], list), "records must be a list")
     records = []
     for r in data["records"]:
-        doc.table(r, "calibration record", _RECORD_KEYS, exact=True)
+        doc.table(r, "calibration record", _RECORD_KEYS)
         records.append(
             CalibrationRecord(
                 measured_Pg=doc.number(r["measured_Pg"], "measured_Pg"),
@@ -226,7 +227,7 @@ def cmd_solve_shell(args) -> int:
         "membrane_limit": not args.full,
     }
     if args.critical:
-        diagnostics["critical_W0"] = critical_depth(params, options)
+        diagnostics["critical_W0"] = critical_depth(params)
     if args.W0 is not None:
         sol = solve_indentation(params, args.W0, options)
         solution_to_csv(sol, out_dir / "profile.csv")
@@ -245,6 +246,8 @@ def cmd_solve_shell(args) -> int:
 
 
 _MATERIAL_REQUIRED = ("E", "nu", "h", "density", "Pg0")
+_SCENARIO_OPTIONAL = ("indent", "planes", "gravity", "restitution", "dt", "duration", "damping")
+_INDENT_OPTIONAL = ("levels", "axis", "speed")
 
 
 def _parse_scenario(path):
@@ -257,17 +260,15 @@ def _parse_scenario(path):
     check, number, vector, table = doc.check, doc.number, doc.vector, doc.table
     data = doc.data
 
-    table(data, "scenario JSON", ("material",))
-    spec = table(data["material"], "material", _MATERIAL_REQUIRED)
-    unknown = sorted(set(spec) - {*_MATERIAL_REQUIRED, "gas_model"})
-    check(not unknown, f"unknown material keys {unknown}")
+    table(data, "scenario JSON", ("material",), _SCENARIO_OPTIONAL)
+    spec = table(data["material"], "material", _MATERIAL_REQUIRED, ("gas_model",))
     for key in _MATERIAL_REQUIRED:
         number(spec[key], f"material.{key}")
     material = MaterialSpec(**spec)
     indent = data.get("indent")
     indenter = None
     if indent is not None:
-        table(indent, "indent", ("vertex", "target_depth"))
+        table(indent, "indent", ("vertex", "target_depth"), _INDENT_OPTIONAL)
         number(indent["target_depth"], "indent.target_depth")
         if indent.get("levels") is not None:
             number(indent["levels"], "indent.levels", int)
@@ -405,7 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(full=False)
     p.add_argument("--W0", type=float, help="dimensionless indentation depth (<= 0)")
     p.add_argument(
-        "--critical", action="store_true", help="root-find the wrinkling-onset depth"
+        "--critical",
+        action="store_true",
+        help="root-find the wrinkling-onset depth; always the membrane-limit value, "
+        "also with --full",
     )
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_solve_shell)

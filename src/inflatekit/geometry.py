@@ -318,7 +318,11 @@ def enclosed_volume(mesh: TriMesh) -> float:
             f"first few {boundary[:5]}",
             boundary_edges=boundary,
         )
-    return abs(signed_volume(mesh))
+    volume = abs(signed_volume(mesh))
+    # finite coordinates near the float limit can overflow the determinants
+    if not np.isfinite(volume):
+        raise ValidationError("enclosed volume overflows: vertex coordinates are too large")
+    return volume
 
 
 def signed_volume(mesh: TriMesh) -> float:

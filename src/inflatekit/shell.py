@@ -46,6 +46,20 @@ DEFAULT_NU = 0.4
 # them one or two nodes per iteration.
 ELASTIC_LENGTH_SPACING = 1.2
 
+# Collocation settings.  The membrane base grid is GRID_SIZE nodes spaced
+# geometrically over [RHO0, RHO_INF]; the full-system one follows it until
+# its spacing reaches ELASTIC_LENGTH_SPACING and is uniform beyond.  Each
+# continuation step starts again from the base grid and refines until the
+# relative collocation residual is below BVP_TOL, so the tolerance alone sets
+# the final mesh.  1e-6 serves both systems: membrane forces at 1e-6 and at
+# 1e-8 differ by at most 2.9e-9 relative at W0 = -1, -4 and -8, and the full
+# system's inner bending layer over-refines at tighter targets.
+GRID_SIZE = 400
+RHO_INF = 30.0
+RHO0 = 1e-3 * RHO_INF  # inner regularization radius replacing the point-load delta
+BVP_TOL = 1e-6
+MAX_NODES = 200_000  # caps each refined mesh
+
 
 @dataclass(frozen=True)
 class ShellParams:
@@ -88,42 +102,15 @@ class ShellParams:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Collocation settings for the shell BVP.
+    """Which shell equations to solve.
 
-    ``tol`` is the residual tolerance of ``scipy.integrate.solve_bvp``: each
-    continuation step refines its mesh until the relative collocation
-    residual is below it.  Every step starts again from a fixed base grid,
-    so the tolerance alone sets the final mesh.  The membrane base grid is
-    ``grid_size`` nodes spaced geometrically over [rho0, rho_inf].  The
-    full-system one follows it until its spacing reaches 1.2 elastic
-    lengths (1/sqrt(tau)) and is uniform at that spacing beyond, so it has
-    more nodes at large tau.  1e-6 serves both systems: membrane forces
-    agree with 1e-8 solves to better than 1e-8 relative, and the full
-    system's inner bending layer over-refines at tighter targets.
-    ``max_nodes`` caps each refined mesh and must be at least ``grid_size``.
+    ``membrane_limit`` (the default) drops the bending term, valid for
+    tau >> 1; ``False`` solves the full system with its 1/tau^2 bending
+    term.  The collocation settings are the module constants ``GRID_SIZE``,
+    ``RHO_INF``, ``RHO0``, ``BVP_TOL`` and ``MAX_NODES``.
     """
 
     membrane_limit: bool = True
-    grid_size: int = 400
-    rho_inf: float = 30.0
-    tol: float = 1e-6
-    max_nodes: int = 200_000
-
-    def __post_init__(self):
-        if self.grid_size < 200:
-            raise ValidationError("grid_size must be >= 200")
-        if not (math.isfinite(self.rho_inf) and self.rho_inf >= 20):
-            raise ValidationError(f"rho_inf must be finite and >= 20, got {self.rho_inf}")
-        # a zero or nan tolerance is never met: solve_bvp would refine up to max_nodes
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValidationError(f"tol must be finite and > 0, got {self.tol}")
-        if self.max_nodes < self.grid_size:
-            raise ValidationError(f"max_nodes must be >= grid_size ({self.grid_size})")
-
-    @property
-    def rho0(self) -> float:
-        # inner regularization radius replacing the point-load delta
-        return 1e-3 * self.rho_inf
 
 
 @dataclass(frozen=True)
@@ -195,21 +182,6 @@ def _check_depth(W0: float) -> None:
     # a nan or infinite depth would never end the continuation loop
     if not (math.isfinite(W0) and W0 <= 0):
         raise ValidationError(f"W0 must be finite and <= 0, got {W0}")
-
-
-def _trivial_solution(options: SolverOptions) -> ShellSolution:
-    """Exact unindented state: W = 0, Psi = rho/2 (zero force)."""
-    rho = np.geomspace(options.rho0, options.rho_inf, options.grid_size)
-    return ShellSolution(
-        rho=rho,
-        W=np.zeros_like(rho),
-        Psi=rho / 2.0,
-        hoop_stress=np.full_like(rho, 0.5),
-        radial_stress=np.full_like(rho, 0.5),
-        W0=0.0,
-        force=0.0,
-        annulus=None,
-    )
 
 
 def _membrane_rhs(rho, y, p):
@@ -292,57 +264,30 @@ def _full_bc_factory(W0, nu, rho0, rho_inf):
     return bc
 
 
-def _solution_from_bvp(sol, W0, membrane: bool, **counts) -> ShellSolution:
-    rho = sol.x
-    if membrane:
-        psi, dpsi = sol.y[0], sol.y[1]
-        w = sol.y[3]
-    else:
-        w = sol.y[0]
-        psi, dpsi = sol.y[3], sol.y[4]
-    c = float(sol.p[0])
-    hoop = dpsi
-    radial = psi / rho
-    neg = np.where(hoop < 0)[0]
-    annulus = (float(rho[neg[0]]), float(rho[neg[-1]])) if neg.size else None
-    return ShellSolution(
-        rho=rho,
-        W=w,
-        Psi=psi,
-        hoop_stress=hoop,
-        radial_stress=radial,
-        W0=float(W0),
-        force=2.0 * math.pi * c,
-        annulus=annulus,
-        **counts,
-    )
-
-
-def _base_grid(options: SolverOptions, membrane: bool, tau: float) -> np.ndarray:
-    """Geometric grid over [rho0, rho_inf]; for the full system, uniform
+def _base_grid(membrane: bool, tau: float) -> np.ndarray:
+    """Geometric grid over [RHO0, RHO_INF]; for the full system, uniform
     from where the geometric spacing would exceed ELASTIC_LENGTH_SPACING
     elastic lengths."""
-    rho = np.geomspace(options.rho0, options.rho_inf, options.grid_size)
+    rho = np.geomspace(RHO0, RHO_INF, GRID_SIZE)
     if membrane:
         return rho
     h_max = ELASTIC_LENGTH_SPACING / math.sqrt(tau)
     k = int(np.searchsorted(np.diff(rho), h_max, side="right"))
     if k == len(rho) - 1:
         return rho
-    n = math.ceil((options.rho_inf - rho[k]) / h_max)
-    return np.concatenate([rho[:k], np.linspace(rho[k], options.rho_inf, n + 1)])
+    n = math.ceil((RHO_INF - rho[k]) / h_max)
+    return np.concatenate([rho[:k], np.linspace(rho[k], RHO_INF, n + 1)])
 
 
 class _ContinuationState:
     """Carries the last converged profile, on the base grid, between depth steps."""
 
-    def __init__(self, options: SolverOptions, membrane: bool, nu: float, tau: float):
-        self.options = options
+    def __init__(self, membrane: bool, nu: float, tau: float):
         self.membrane = membrane
         self.nu = nu
         self.tau = tau
         self.W0 = 0.0
-        rho = self.x = _base_grid(options, membrane, tau)
+        rho = self.x = _base_grid(membrane, tau)
         zeros = np.zeros_like(rho)
         if membrane:
             self.y = np.vstack([rho / 2.0, np.full_like(rho, 0.5), zeros, zeros])
@@ -355,14 +300,13 @@ class _ContinuationState:
 
     def advance(self, W0_target: float) -> None:
         """One Newton solve at W0_target from the stored guess."""
-        opts = self.options
         if self.membrane:
             rhs = _membrane_rhs
-            bc = _membrane_bc_factory(W0_target, self.nu, opts.rho0, opts.rho_inf)
+            bc = _membrane_bc_factory(W0_target, self.nu, RHO0, RHO_INF)
             w_row = 3
         else:
             rhs = _full_rhs_factory(self.tau)
-            bc = _full_bc_factory(W0_target, self.nu, opts.rho0, opts.rho_inf)
+            bc = _full_bc_factory(W0_target, self.nu, RHO0, RHO_INF)
             w_row = 0
         x = self.x
         y = self.y.copy()
@@ -371,13 +315,11 @@ class _ContinuationState:
             if self.W0 != 0.0:
                 y[w_row] *= W0_target / self.W0
             else:
-                y[w_row] = W0_target * np.exp(-(x - opts.rho0))
+                y[w_row] = W0_target * np.exp(-(x - RHO0))
         p = self.p.copy()
         if p[0] == 0.0 and W0_target != 0.0:
             p[0] = abs(W0_target) / 2.0  # cap-theory force scale
-        sol = solve_bvp(
-            rhs, bc, x, y, p=p, tol=opts.tol, max_nodes=opts.max_nodes
-        )
+        sol = solve_bvp(rhs, bc, x, y, p=p, tol=BVP_TOL, max_nodes=MAX_NODES)
         self.bvp_iterations += int(sol.niter)
         self.max_nodes = max(self.max_nodes, len(sol.x))
         if sol.status != 0:
@@ -410,12 +352,25 @@ class _ContinuationState:
                 self.step *= 2.0
 
     def solution(self) -> ShellSolution:
-        if self.sol is None:
-            return _trivial_solution(self.options)
-        return _solution_from_bvp(
-            self.sol,
-            self.W0,
-            self.membrane,
+        """The last converged profile; before any solve, the exact unindented
+        state W = 0, Psi = rho/2 on the base grid."""
+        sol = self.sol
+        rho, y, p = (self.x, self.y, self.p) if sol is None else (sol.x, sol.y, sol.p)
+        if self.membrane:
+            psi, dpsi, w = y[0], y[1], y[3]
+        else:
+            w, psi, dpsi = y[0], y[3], y[4]
+        neg = np.where(dpsi < 0)[0]  # hoop stress is Psi'
+        annulus = (float(rho[neg[0]]), float(rho[neg[-1]])) if neg.size else None
+        return ShellSolution(
+            rho=rho,
+            W=w,
+            Psi=psi,
+            hoop_stress=dpsi,
+            radial_stress=psi / rho,
+            W0=float(self.W0),
+            force=2.0 * math.pi * float(p[0]),
+            annulus=annulus,
             bvp_solves=self.bvp_solves,
             bvp_iterations=self.bvp_iterations,
             max_nodes=self.max_nodes,
@@ -423,44 +378,43 @@ class _ContinuationState:
 
 
 def solve_indentation(
-    params: ShellParams, W0: float, options: SolverOptions | None = None
+    params: ShellParams, W0: float, options: SolverOptions = SolverOptions()
 ) -> ShellSolution:
     """Solve the indentation BVP at prescribed dimensionless depth W0 <= 0.
 
+    ``options`` picks the membrane limit (default) or the full system.
     Continuation steps from the unindented state, warm-starting each
     collocation solve from the previous one on a fixed base grid (see
-    `SolverOptions`; the full-system one resolves the elastic length
+    `_base_grid`; the full-system one resolves the elastic length
     1/sqrt(tau)).  The step starts at 0.25 in |W0|; it doubles after a full
     step whose refined mesh stays within three times the base grid's nodes
     and halves after a failed solve.  The solution reports the collocation
-    solves, iterations and largest mesh the continuation took.  The dimensionless
-    force comes from the vertical force balance at the inner boundary (the
-    first-integral constant).
+    solves, iterations and largest mesh the continuation took; at W0 = 0 it
+    is the exact unindented state on the base grid, with all counts 0.  The
+    dimensionless force comes from the vertical force balance at the inner
+    boundary (the first-integral constant).
     """
-    if options is None:
-        options = SolverOptions()
     _check_depth(W0)
-    state = _ContinuationState(options, options.membrane_limit, params.nu, params.tau)
+    state = _ContinuationState(options.membrane_limit, params.nu, params.tau)
     state.continue_to(float(W0))
     return state.solution()
 
 
-def critical_depth(params: ShellParams, options: SolverOptions | None = None) -> float:
+def critical_depth(params: ShellParams) -> float:
     """Depth W0 at which compressive hoop stress (wrinkling) first appears.
 
-    Brent's method on the membrane-limit minimum hoop stress over
-    [-6, 0], to 1e-4 in W0, warm-started through one continuation state.
-    The result is a universal dimensionless constant (~ -2.53), independent
-    of the dimensional parameters while tau stays large.
+    Always solved in the membrane limit: Brent's method on its minimum hoop
+    stress over [-6, 0], to 1e-4 in W0, warm-started through one
+    continuation state.  The result is a universal dimensionless constant
+    (~ -2.53), independent of the dimensional parameters while tau stays
+    large; below tau = 10 it warns.
     """
-    if options is None:
-        options = SolverOptions(membrane_limit=True)
     if params.tau < 10:
         warnings.warn(
             f"tau = {params.tau:.3g} < 10: membrane limit is questionable",
             stacklevel=2,
         )
-    state = _ContinuationState(options, True, params.nu, params.tau)
+    state = _ContinuationState(True, params.nu, params.tau)
 
     def min_hoop_stress(W0):
         state.continue_to(W0)

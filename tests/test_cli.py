@@ -350,6 +350,7 @@ TETRAHEDRON = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 3 2\nf 1 2 4\nf 1 4 3\nf 
     | st.lists(OBJ_LINE, max_size=4).map(lambda lines: TETRAHEDRON + "\n".join(lines))
     | st.binary(max_size=40)
 )
+@example(content="v 1.0 6.0 2.9961552247705263e+307\nf 1 1 1")  # volume overflows to NaN
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_any_obj_file_exits_cleanly(tmp_path, capsys, content):
     mesh_path = tmp_path / "mesh.obj"
@@ -446,6 +447,15 @@ class TestSolveShell:
         assert 1 <= diag["bvp_solves"] <= diag["bvp_iterations"]
         assert diag["max_nodes"] >= rows
 
+    def test_critical_is_the_membrane_onset_for_both_systems(self, tmp_path):
+        onsets = []
+        for system in ("--membrane", "--full"):
+            out = tmp_path / system.strip("-")
+            assert main(self.BASE + [system, "--critical", "--out", str(out)]) == 0
+            onsets.append(json.loads((out / "diagnostics.json").read_text())["critical_W0"])
+        assert onsets[0] == onsets[1]
+        assert onsets[0] == pytest.approx(-2.5306, abs=1e-4)
+
     def test_positive_depth_rejected(self, tmp_path):
         code = main(self.BASE + ["--W0", "1.5", "--out", str(tmp_path)])
         assert code == 2
@@ -529,6 +539,9 @@ class TestSimulate:
             {"material": MATERIAL, "duration": -1},
             {"material": {**MATERIAL, "E": math.inf}},
             {"material": MATERIAL, "gravity": [0.0, 0.0, math.nan]},
+            {"material": MATERIAL, "duraton": 0.5},
+            {"material": MATERIAL, "indent": {"vertex": 0, "target_depth": 0.01, "lvels": 3}},
+            {"material": MATERIAL, "planes": [{"point": [0, 0, 0], "normal": [0, 0, 1], "mu": 0.3}]},
         ],
         ids=[
             "top-level-list",
@@ -539,6 +552,9 @@ class TestSimulate:
             "negative-duration",
             "infinite-modulus",
             "nan-gravity",
+            "unknown-top-level-key",
+            "unknown-indent-key",
+            "unknown-plane-key",
         ],
     )
     def test_malformed_scenario_is_validation_error(self, tmp_path, capsys, data):

@@ -77,36 +77,6 @@ class TestShellParams:
             ShellParams(**kwargs)
 
 
-class TestSolverOptions:
-    def test_grid_size_floor(self):
-        with pytest.raises(ValidationError):
-            SolverOptions(grid_size=100)
-
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("tol", 0.0),  # never met: the solve would not end
-            ("tol", -1.0),
-            ("tol", math.nan),
-            ("tol", math.inf),
-            ("rho_inf", math.inf),
-            ("rho_inf", math.nan),
-            ("max_nodes", 0),
-            ("max_nodes", 399),
-        ],
-    )
-    def test_bad_settings_rejected(self, field, value):
-        with pytest.raises(ValidationError, match=field):
-            SolverOptions(**{field: value})
-
-    def test_rho_inf_floor(self):
-        with pytest.raises(ValidationError):
-            SolverOptions(rho_inf=10)
-
-    def test_inner_radius_scales_with_domain(self):
-        assert SolverOptions(rho_inf=30.0).rho0 == pytest.approx(0.03)
-
-
 class TestTrivialSolution:
     def test_unindented_state(self):
         sol = solve_indentation(BALL, 0.0)
@@ -183,8 +153,9 @@ class TestWarmStart:
         _, full = tau100_pair
         assert len(full.rho) < 3000
 
-    def test_default_tol_matches_tight_tol_force(self, sol_m4):
-        tight = solve_indentation(BALL, -4.0, SolverOptions(tol=1e-8))
+    def test_default_tol_matches_tight_tol_force(self, sol_m4, monkeypatch):
+        monkeypatch.setattr(shell, "BVP_TOL", 1e-8)
+        tight = solve_indentation(BALL, -4.0)
         assert sol_m4.force == pytest.approx(tight.force, rel=1e-6)
 
 
@@ -194,11 +165,10 @@ class TestFullSystemGrid:
     per collocation iteration (82 iterations at tau = 100, W0 = -3)."""
 
     def test_no_interval_longer_than_the_elastic_spacing(self):
-        options = SolverOptions(membrane_limit=False)
-        geometric = np.geomspace(options.rho0, options.rho_inf, options.grid_size)
+        geometric = np.geomspace(shell.RHO0, shell.RHO_INF, shell.GRID_SIZE)
         for tau in (10.0, 100.0, 400.0):
-            rho = _base_grid(options, False, tau)
-            assert rho[0] == options.rho0 and rho[-1] == options.rho_inf
+            rho = _base_grid(False, tau)
+            assert rho[0] == shell.RHO0 and rho[-1] == shell.RHO_INF
             assert np.all(np.diff(rho) > 0)
             assert np.diff(rho).max() <= 1.2 / math.sqrt(tau) * (1 + 1e-12)
             # the inner layer keeps the geometric spacing
@@ -206,11 +176,10 @@ class TestFullSystemGrid:
             np.testing.assert_array_equal(rho[:k], geometric[:k])
 
     def test_membrane_and_low_tau_grids_are_geometric(self):
-        options = SolverOptions()
-        geometric = np.geomspace(options.rho0, options.rho_inf, options.grid_size)
-        np.testing.assert_array_equal(_base_grid(options, True, 400.0), geometric)
+        geometric = np.geomspace(shell.RHO0, shell.RHO_INF, shell.GRID_SIZE)
+        np.testing.assert_array_equal(_base_grid(True, 400.0), geometric)
         # at tau = 1 every geometric interval is shorter than 1.2
-        np.testing.assert_array_equal(_base_grid(options, False, 1.0), geometric)
+        np.testing.assert_array_equal(_base_grid(False, 1.0), geometric)
 
     def test_tau100_takes_few_iterations(self, tau100_pair):
         _, full = tau100_pair
@@ -226,7 +195,7 @@ class TestFullSystemGrid:
         params = ShellParams(R=0.11, h=1.2e-3, E=1.1e6, nu=0.4, Pg=2000.0)
         params = _rescale_to_tau(params, 200.0)
         sol = solve_indentation(params, -5.0, SolverOptions(membrane_limit=False))
-        assert sol.max_nodes > 3 * SolverOptions().grid_size
+        assert sol.max_nodes > 3 * shell.GRID_SIZE
         assert sol.bvp_solves <= 5
 
     def test_onset_unchanged(self):
@@ -253,8 +222,14 @@ class TestSolverCounts:
         assert sol.bvp_iterations == sum(c.niter for c in calls)
         assert sol.max_nodes == max(len(c.x) for c in calls) >= len(sol.rho)
 
-    def test_unindented_state_reports_zero(self):
-        sol = solve_indentation(BALL, 0.0)
+    @pytest.mark.parametrize("membrane", [True, False], ids=["membrane", "full"])
+    def test_unindented_state_reports_zero(self, membrane):
+        sol = solve_indentation(BALL, 0.0, SolverOptions(membrane_limit=membrane))
+        # the exact unindented state on the base grid of the chosen system
+        np.testing.assert_array_equal(sol.rho, _base_grid(membrane, BALL.tau))
+        np.testing.assert_array_equal(sol.W, 0.0)
+        np.testing.assert_array_equal(sol.Psi, sol.rho / 2.0)
+        assert sol.force == 0.0
         assert (sol.bvp_solves, sol.bvp_iterations, sol.max_nodes) == (0, 0, 0)
 
 
@@ -311,7 +286,7 @@ class TestContinuation:
     after a failed solve; the onset is a root of the minimum hoop stress."""
 
     def state(self):
-        return _ContinuationState(SolverOptions(), True, BALL.nu, BALL.tau)
+        return _ContinuationState(True, BALL.nu, BALL.tau)
 
     def test_onset_is_a_root_of_min_hoop_stress(self):
         onset = critical_depth(BALL)
