@@ -6,6 +6,7 @@ inward shooting solver of the same ODE system built on a different
 numerical route (RK45 + nested bisection instead of collocation).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -202,6 +203,13 @@ class TestFullSystemGrid:
         # the membrane grid did not move, so neither did the onset
         assert critical_depth(BALL) == pytest.approx(-2.5306023445840378, abs=1e-10)
 
+    @pytest.mark.parametrize("tau,nodes", [(40.0, 443), (100.0, 508)])
+    def test_base_grid_size(self, tau, nodes):
+        # the geometric grid's far-field intervals are split into elastic lengths
+        assert len(_base_grid(False, tau)) == nodes
+        sol = solve_indentation(_rescale_to_tau(BALL, tau), 0.0, SolverOptions(membrane_limit=False))
+        assert len(sol.rho) == nodes
+
 
 class TestSolverCounts:
     """The counts on the result equal what a wrap of shell.solve_bvp sees."""
@@ -231,6 +239,32 @@ class TestSolverCounts:
         np.testing.assert_array_equal(sol.Psi, sol.rho / 2.0)
         assert sol.force == 0.0
         assert (sol.bvp_solves, sol.bvp_iterations, sol.max_nodes) == (0, 0, 0)
+
+
+class TestPinnedSolves:
+    """Force and solver counts of indented solves, pinned to the values the
+    solver gave while its collocation settings were still options."""
+
+    @pytest.mark.parametrize(
+        "tau,W0,membrane,force,counts",
+        [
+            (None, -1.0, True, 1.0985316056591798, (3, 8, 871)),
+            (None, -4.0, True, 6.385091646217934, (5, 14, 903)),
+            (40.0, -3.0, False, 4.811342479919389, (4, 18, 1131)),
+            (100.0, -3.0, False, 4.775841743804486, (4, 20, 1323)),
+        ],
+        ids=["membrane-W0-1", "membrane-W0-4", "full-tau40-W0-3", "full-tau100-W0-3"],
+    )
+    def test_force_and_counts(self, tau, W0, membrane, force, counts):
+        params = BALL if tau is None else _rescale_to_tau(BALL, tau)
+        sol = solve_indentation(params, W0, SolverOptions(membrane_limit=membrane))
+        assert sol.force == pytest.approx(force, rel=1e-12)
+        assert (sol.bvp_solves, sol.bvp_iterations, sol.max_nodes) == counts
+
+    def test_membrane_limit_is_the_only_setting(self):
+        assert [f.name for f in dataclasses.fields(SolverOptions)] == ["membrane_limit"]
+        with pytest.raises(TypeError):
+            SolverOptions(tol=1e-8)
 
 
 def test_force_monotone_in_depth():
