@@ -52,6 +52,7 @@ from .simulator import (
     indent_virtual,
     init_sim,
     step,
+    step_count,
 )
 
 EXIT_OK = 0
@@ -300,6 +301,8 @@ def _parse_scenario(path):
 
 def cmd_simulate(args) -> int:
     material, config, indent = _parse_scenario(args.scenario)
+    # indentation is quasi-static: dt and duration play no part in it
+    n_steps = step_count(config) if indent is None else 0
     mesh = load_mesh(args.mesh)
     state = init_sim(mesh, material)
     out_dir = Path(args.out)
@@ -318,7 +321,6 @@ def cmd_simulate(args) -> int:
             f"R={series.region_radius:.4g} m) -> {out_path}"
         )
         return EXIT_OK
-    n_steps = int(round(config.duration / config.dt))
     sample_every = max(1, n_steps // 1000)
     rows = ["time_s,cx_m,cy_m,cz_m,volume_m3,Pg_pa,kinetic_J"]
     for i in range(n_steps):

@@ -109,11 +109,21 @@ class Estimate:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def _through_origin(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+def _through_origin(x: np.ndarray, y: np.ndarray, name: str, unit: str) -> tuple[float, float]:
     """Slope and r2 of y ~ slope * x (no intercept).
 
     r2 is computed against the through-origin model: 1 - SS_res / sum(y^2).
+    Raises ValidationError, naming y by ``name`` and ``unit``, when the
+    squares of y overflow double precision.
     """
+    # n * max(y)^2 bounds sum(y^2) and each squared residual, so while it is
+    # finite nothing below overflows
+    peak = float(np.max(np.abs(y)))
+    if not math.isfinite(peak * peak * y.size):
+        raise ValidationError(
+            f"{name} up to {peak:.3g} {unit} are too large to fit: "
+            "their squares overflow double precision"
+        )
     sxx = float(np.dot(x, x))
     if sxx == 0.0:
         raise RankDeficientError("all abscissa values are zero")
@@ -140,7 +150,8 @@ def regress_phat(
     is the k_s-scaled pressure estimate P_hat. Raises RankDeficientError
     when all depths coincide (the depth design carries no information).
     With average_levels=True, repeated trials at the same force level are
-    averaged before regression.
+    averaged before regression.  Raises ValidationError for forces whose
+    squares overflow double precision.
     """
     forces = np.asarray(series.forces, dtype=float)
     depths = np.asarray(series.depths, dtype=float)
@@ -151,7 +162,7 @@ def regress_phat(
             f"all {len(depths)} depths are identical ({depths[0]} m); "
             "slope is not identifiable"
         )
-    slope, r2 = _through_origin(depths, forces)
+    slope, r2 = _through_origin(depths, forces, "forces", "N")
     # free-intercept diagnostic fit (sensor-bias indicator)
     coeffs = np.polyfit(depths, forces, 1)
     pg_hat = slope / (math.pi * series.region_radius)
@@ -180,7 +191,7 @@ def calibrate_ks(records) -> Calibration:
         )
     pg = np.array([r.measured_Pg for r in records])
     pg_hat = np.array([r.estimated_Pg_hat for r in records])
-    ks, r2 = _through_origin(pg, pg_hat)
+    ks, r2 = _through_origin(pg, pg_hat, "pressure estimates", "Pa")
     return Calibration(ks=ks, records=records, fit_r2=r2)
 
 

