@@ -4,7 +4,6 @@ forward membrane simulator for synthetic data."""
 
 from .errors import (
     DegenerateFitError,
-    EmptyContactError,
     IndexRangeError,
     InflatekitError,
     InsufficientDataError,
@@ -56,7 +55,6 @@ from .shell import (
     SolverOptions,
     WrinkleCount,
     cap_profile,
-    cap_volume_change,
     critical_depth,
     solution_to_csv,
     solve_indentation,
@@ -70,7 +68,6 @@ from .simulator import (
     SimState,
     indent_virtual,
     init_sim,
-    measure_deformation,
     run,
     step,
 )

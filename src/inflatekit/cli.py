@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    EmptyContactError,
     InflatekitError,
     NonConvergenceError,
     ParseError,
@@ -65,7 +64,6 @@ _NUMERICAL_ERRORS = (
     SimulationInstabilityError,
     RelaxationTimeoutError,
     RankDeficientError,
-    EmptyContactError,
 )
 
 

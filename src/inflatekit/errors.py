@@ -71,7 +71,3 @@ class SimulationInstabilityError(InflatekitError):
 class RelaxationTimeoutError(InflatekitError):
     """Quasi-static equilibrium not reached: a free vertex keeps a net force
     of RELAX_FORCE_TOL or more after the potential was minimised."""
-
-
-class EmptyContactError(InflatekitError):
-    """No vertices in contact with the ground plane."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .measurement import IndentationSeries
-from .shell import DEFAULT_NU, WRINKLE_FACTOR, ShellParams
+from .shell import DEFAULT_NU, WRINKLE_FACTOR
 
 # Wrinkling onset depth magnitude in units of l_p^2/R (dimensionless 2.52)
 CRITICAL_DEPTH_FACTOR = 2.52
@@ -39,17 +40,11 @@ R2_WARN_THRESHOLD = 0.9
 
 @dataclass(frozen=True)
 class RegressionResult:
-    """Through-origin fit of force against depth for one series.
-
-    slope/intercept_* are diagnostic extras: a free-intercept fit whose
-    intercept should be ~0 for an unbiased force sensor.
-    """
+    """Through-origin fit of force against depth for one series."""
 
     Pg_hat: float  # slope / (pi R): k_s-scaled pressure estimate (Pa)
     slope: float  # N/m
     r2: float
-    intercept_slope: float  # N/m, free-intercept diagnostic fit
-    intercept: float  # N, free-intercept diagnostic fit
 
 
 @dataclass(frozen=True)
@@ -109,21 +104,24 @@ class Estimate:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def _through_origin(x: np.ndarray, y: np.ndarray, name: str, unit: str) -> tuple[float, float]:
+def _through_origin(x: np.ndarray, y: np.ndarray, x_label, y_label) -> tuple[float, float]:
     """Slope and r2 of y ~ slope * x (no intercept).
 
     r2 is computed against the through-origin model: 1 - SS_res / sum(y^2).
-    Raises ValidationError, naming y by ``name`` and ``unit``, when the
-    squares of y overflow double precision.
+    Raises ValidationError, naming x or y by its (name, unit) label, when
+    the squares of either overflow or underflow double precision.
     """
-    # n * max(y)^2 bounds sum(y^2) and each squared residual, so while it is
-    # finite nothing below overflows
-    peak = float(np.max(np.abs(y)))
-    if not math.isfinite(peak * peak * y.size):
-        raise ValidationError(
-            f"{name} up to {peak:.3g} {unit} are too large to fit: "
-            "their squares overflow double precision"
-        )
+    # while n * max(v)^2 is finite for x and y no sum below overflows, and
+    # while max(v)^2 is a normal double no sum underflows to zero
+    for v, (name, unit) in ((x, x_label), (y, y_label)):
+        peak = float(np.max(np.abs(v)))
+        if not math.isfinite(peak * peak * v.size):
+            problem = "too large to fit: their squares overflow"
+        elif 0 < peak and peak * peak < sys.float_info.min:
+            problem = "too small to fit: their squares underflow"
+        else:
+            continue
+        raise ValidationError(f"{name} up to {peak:.3g} {unit} are {problem} double precision")
     sxx = float(np.dot(x, x))
     if sxx == 0.0:
         raise RankDeficientError("all abscissa values are zero")
@@ -134,37 +132,23 @@ def _through_origin(x: np.ndarray, y: np.ndarray, name: str, unit: str) -> tuple
     return slope, r2
 
 
-def _average_levels(forces: np.ndarray, depths: np.ndarray):
-    """Collapse repeated trials at the same force level to their mean depth."""
-    levels = np.unique(forces)
-    mean_depths = np.array([depths[forces == f].mean() for f in levels])
-    return levels, mean_depths
-
-
-def regress_phat(
-    series: IndentationSeries, average_levels: bool = False
-) -> RegressionResult:
+def regress_phat(series: IndentationSeries) -> RegressionResult:
     """Through-origin regression of force on depth; returns slope/(pi R).
 
     The slope of F against w(0) equals pi * k_s * R * Pg, so slope/(pi R)
     is the k_s-scaled pressure estimate P_hat. Raises RankDeficientError
-    when all depths coincide (the depth design carries no information).
-    With average_levels=True, repeated trials at the same force level are
-    averaged before regression.  Raises ValidationError for forces whose
-    squares overflow double precision.
+    when all depths coincide (the depth design carries no information),
+    and ValidationError for depths or forces whose squares overflow or
+    underflow double precision.
     """
     forces = np.asarray(series.forces, dtype=float)
     depths = np.asarray(series.depths, dtype=float)
-    if average_levels:
-        forces, depths = _average_levels(forces, depths)
     if np.ptp(depths) == 0.0:
         raise RankDeficientError(
             f"all {len(depths)} depths are identical ({depths[0]} m); "
             "slope is not identifiable"
         )
-    slope, r2 = _through_origin(depths, forces, "forces", "N")
-    # free-intercept diagnostic fit (sensor-bias indicator)
-    coeffs = np.polyfit(depths, forces, 1)
+    slope, r2 = _through_origin(depths, forces, ("depths", "m"), ("forces", "N"))
     pg_hat = slope / (math.pi * series.region_radius)
     if r2 < R2_WARN_THRESHOLD:
         warnings.warn(
@@ -172,13 +156,7 @@ def regress_phat(
             "linear pressure model is questionable for this series",
             stacklevel=2,
         )
-    return RegressionResult(
-        Pg_hat=pg_hat,
-        slope=slope,
-        r2=r2,
-        intercept_slope=float(coeffs[0]),
-        intercept=float(coeffs[1]),
-    )
+    return RegressionResult(Pg_hat=pg_hat, slope=slope, r2=r2)
 
 
 def calibrate_ks(records) -> Calibration:
@@ -191,15 +169,14 @@ def calibrate_ks(records) -> Calibration:
         )
     pg = np.array([r.measured_Pg for r in records])
     pg_hat = np.array([r.estimated_Pg_hat for r in records])
-    ks, r2 = _through_origin(pg, pg_hat, "pressure estimates", "Pa")
+    labels = ("measured pressures", "Pa"), ("pressure estimates", "Pa")
+    ks, r2 = _through_origin(pg, pg_hat, *labels)
     return Calibration(ks=ks, records=records, fit_r2=r2)
 
 
-def estimate_pressure(
-    series: IndentationSeries, cal: Calibration, average_levels: bool = False
-) -> float:
+def estimate_pressure(series: IndentationSeries, cal: Calibration) -> float:
     """Gauge pressure (Pa): k_s-scaled regression estimate divided by k_s."""
-    return regress_phat(series, average_levels=average_levels).Pg_hat / cal.ks
+    return regress_phat(series).Pg_hat / cal.ks
 
 
 def estimate_modulus_from_wrinkles(
@@ -209,16 +186,23 @@ def estimate_modulus_from_wrinkles(
 
     E = sqrt(12 (1 - nu^2)) * (1.33 R / (n h))^2 * Pg.  n is normally an
     observed integer; non-integer values are accepted for algebraic
-    cross-checks.
+    cross-checks.  An E that overflows or underflows double precision
+    raises ValidationError.
     """
     for name, value in (("R", R), ("h", h), ("Pg", Pg)):
-        if not (value > 0):
-            raise ValidationError(f"{name} must be > 0, got {value}")
+        if not (0 < value < math.inf):
+            raise ValidationError(f"{name} must be finite and > 0, got {value}")
     if not (n >= 1):
         raise ValidationError(f"n must be >= 1, got {n}")
     if not (0 < nu < 0.5):
         raise ValidationError(f"nu must be in (0, 0.5), got {nu}")
-    return math.sqrt(12.0 * (1.0 - nu**2)) * (WRINKLE_FACTOR * R / (n * h)) ** 2 * Pg
+    try:
+        e_mod = math.sqrt(12.0 * (1.0 - nu**2)) * (WRINKLE_FACTOR * R / (n * h)) ** 2 * Pg
+    except OverflowError:  # the square, or an int n beyond float range
+        e_mod = math.inf
+    if not (0 < e_mod < math.inf):
+        raise ValidationError(f"modulus E from n = {n} overflows or underflows double precision")
+    return e_mod
 
 
 @dataclass(frozen=True)
@@ -258,25 +242,22 @@ def run_procedure3(
     cal: Calibration,
     n: int,
     nu: float = DEFAULT_NU,
-    average_levels: bool = False,
 ) -> Estimate:
     """Full estimation chain: pressure from the series, modulus from n.
 
-    Diagnostics include the regression slope/r2 and the bendability tau
-    implied by the estimated (Pg, E).
+    Diagnostics include the regression slope/r2 and the bendability
+    tau = Pg R^2 / sqrt(E h B) of the estimated (Pg, E).  E follows from n
+    by the wrinkle law n = 1.33 sqrt(tau), so tau = (n / 1.33)^2.
     """
-    reg = regress_phat(series, average_levels=average_levels)
+    reg = regress_phat(series)
     pg = reg.Pg_hat / cal.ks
     e_mod = estimate_modulus_from_wrinkles(
         R=series.region_radius, h=series.region_thickness, n=n, Pg=pg, nu=nu
     )
-    params = ShellParams(
-        R=series.region_radius,
-        h=series.region_thickness,
-        E=e_mod,
-        nu=nu,
-        Pg=pg,
-    )
+    try:
+        tau = (n / WRINKLE_FACTOR) ** 2
+    except OverflowError:
+        raise ValidationError(f"n = {n} is too large: tau = (n / 1.33)^2 overflows") from None
     return Estimate(
         object_id=series.object_id,
         Pg=pg,
@@ -287,6 +268,6 @@ def run_procedure3(
             "slope": reg.slope,
             "r2": reg.r2,
             "n": n,
-            "tau": params.tau,
+            "tau": tau,
         },
     )

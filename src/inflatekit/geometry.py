@@ -329,12 +329,14 @@ def signed_volume(mesh: TriMesh) -> float:
     """Signed divergence-theorem volume (positive for outward CCW faces)."""
     # corner coordinates component-major, (xyz, corner, face)
     x, y, z = mesh.vertices.T.take(mesh.faces.T, axis=1)
-    det = (
-        x[0] * (y[1] * z[2] - z[1] * y[2])
-        + y[0] * (z[1] * x[2] - x[1] * z[2])
-        + z[0] * (x[1] * y[2] - y[1] * x[2])
-    )
-    return float(det.sum() / 6.0)
+    # near the float limit the volume is inf or NaN; callers check it
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = (
+            x[0] * (y[1] * z[2] - z[1] * y[2])
+            + y[0] * (z[1] * x[2] - x[1] * z[2])
+            + z[0] * (x[1] * y[2] - y[1] * x[2])
+        )
+        return float(det.sum() / 6.0)
 
 
 # ---------------------------------------------------------------------------

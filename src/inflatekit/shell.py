@@ -90,7 +90,7 @@ class ShellParams:
             raise ValidationError(f"nu must be in (0, 0.5), got {self.nu}")
         try:
             tau = self.tau
-        except ZeroDivisionError:  # E h B underflows to 0 for a vanishing modulus
+        except (ZeroDivisionError, OverflowError):  # E h B underflows to 0, R^2 or h^3 overflows
             tau = math.inf
         if not (math.isfinite(tau) and tau > 0):
             raise ValidationError("tau must be finite and positive")
@@ -487,13 +487,6 @@ def cap_profile(W0: float) -> CapProfile:
             stacklevel=2,
         )
     return CapProfile(W0=float(W0))
-
-
-def cap_volume_change(params: ShellParams, w0: float) -> float:
-    """Enclosed-volume change under indentation depth w0 (m): pi*R*w0^2/2."""
-    if not (w0 > 0):
-        raise ValidationError(f"w0 must be > 0, got {w0}")
-    return 0.5 * math.pi * params.R * w0**2
 
 
 def solution_to_csv(sol: ShellSolution, path) -> None:

@@ -22,10 +22,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq, minimize
-from scipy.spatial.distance import pdist
 
 from .errors import (
-    EmptyContactError,
     InsufficientDataError,
     RelaxationTimeoutError,
     SimulationInstabilityError,
@@ -305,10 +303,6 @@ class _MembraneModel:
     def _pressure_forces(self, x: np.ndarray, pg: float) -> np.ndarray:
         """Pg times face vector area, lumped equally to the face's vertices."""
         return self._scatter(self._pressure_corner_forces(self._geometry(x)[2], pg))
-
-    def _elastic_forces(self, x: np.ndarray, frame: int) -> np.ndarray:
-        """Neo-Hookean membrane forces (plane-stress, thickness-integrated)."""
-        return self._scatter(self._elastic_corner_forces(*self._geometry(x)[:2], frame))
 
     def internal_forces(self, x: np.ndarray, pg: float | None = None, frame: int | None = None):
         """Elastic + pressure + prestress offset (sums to ~0 at rest).
@@ -609,44 +603,3 @@ def indent_virtual(
         region_radius=equivalent_radius(state),
         region_thickness=model.material.h,
     )
-
-
-def measure_deformation(
-    state: SimState,
-    plane_point=(0.0, 0.0, 0.0),
-    plane_normal=(0.0, 0.0, 1.0),
-    contact_tol: float = CONTACT_TOL,
-) -> dict:
-    """Deformation descriptors of a vertically loaded state.
-
-    H: total height; Dl: diameter of the ground-contact set; Du: diameter
-    of the rim ring around the vertical axis; d: rim-to-apex depth of the
-    sunken region.  The vertical axis passes through the horizontal
-    centroid.
-    """
-    n_hat = np.asarray(plane_normal, dtype=float)
-    n_hat = n_hat / np.linalg.norm(n_hat)
-    p0 = np.asarray(plane_point, dtype=float)
-    x = state.vertices
-    height = (x - p0) @ n_hat
-    h_total = float(height.max() - height.min())
-
-    on_plane = np.abs((x - p0) @ n_hat) <= contact_tol
-    if not on_plane.any():
-        raise EmptyContactError("no vertices within tolerance of the ground plane")
-    lateral = x - np.outer(height, n_hat)
-    pts = lateral[on_plane]
-    d_l = float(pdist(pts).max()) if len(pts) > 1 else 0.0
-
-    # rim of the sunken region: the highest ring around the vertical axis
-    center = lateral.mean(axis=0)
-    radial = np.linalg.norm(lateral - center, axis=1)
-    z_max = height.max()
-    rim_band = height >= z_max - max(contact_tol, 0.01 * h_total)
-    d_u = float(2.0 * radial[rim_band].mean())
-    # apex of the dip: the on-axis vertex at the top
-    top_half = height >= height.min() + 0.5 * h_total
-    idx_top = np.nonzero(top_half)[0]
-    apex = idx_top[np.argmin(radial[idx_top])]
-    d_depth = float(z_max - height[apex])
-    return {"H": h_total, "Du": d_u, "Dl": d_l, "d": d_depth}

@@ -304,7 +304,11 @@ MANGLED = st.fixed_dictionaries(
     | st.text(max_size=40)
     | st.binary(max_size=40)
 )
+# k_s so small that the pressure estimate is huge or overflows
+@example(content=json.dumps({"ks": 1e-300, "fit_r2": 1.0, "records": []}))
+@example(content=json.dumps({"ks": 1.6e-307, "fit_r2": 1.0, "records": []}))
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_any_calibration_file_exits_cleanly(tmp_path, capsys, content):
     cal_path = tmp_path / "calibration.json"
     if isinstance(content, bytes):
@@ -372,7 +376,10 @@ TETRAHEDRON = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 3 2\nf 1 2 4\nf 1 4 3\nf 
     | st.binary(max_size=40)
 )
 @example(content="v 1.0 6.0 2.9961552247705263e+307\nf 1 1 1")  # volume overflows to NaN
+# the tetrahedron at 1e200 m: its determinants overflow
+@example(content="v 0 0 0\nv 1e200 0 0\nv 0 1e200 0\nv 0 0 1e200\n" + TETRAHEDRON[TETRAHEDRON.index("f"):])
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_any_obj_file_exits_cleanly(tmp_path, capsys, content):
     mesh_path = tmp_path / "mesh.obj"
     if isinstance(content, bytes):
@@ -399,7 +406,11 @@ SERIES_CSV = (
 
 @given(content=SERIES_CSV)
 @example(content="force_N,depth_m\n1e300,0.005\n1e300,0.01\n1e300,0.015\n")
+# depth squares overflow / underflow
+@example(content="force_N,depth_m\n1,1e200\n2,2e200\n3,3e200\n")
+@example(content="force_N,depth_m\n1,1e-306\n2,2e-306\n3,3e-306\n")
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_any_series_file_exits_cleanly(tmp_path, capsys, content):
     # the fuzzed series is calibrated next to a good one and estimated with
     # a good calibration
@@ -431,6 +442,70 @@ def test_any_series_file_exits_cleanly(tmp_path, capsys, content):
             "--radius", str(R), "--thickness", str(H), "--wrinkles", "8",
         ]
     )
+    _assert_clean_exit(code, *capsys.readouterr())
+
+
+# an argv number: ordinary, huge, tiny, zero, negative, infinite or NaN
+ARG_FLOAT = (st.floats(min_value=1e-4, max_value=1e7) | st.floats()).map(repr)
+# --nu left out (the default), inside (0, 0.5) or any argv number
+ARG_NU = st.none() | st.floats(min_value=0.0, max_value=0.5).map(repr) | ARG_FLOAT
+
+
+def _argv_options(values):
+    """["--name=value", ...] for the drawn values that are not None; the =
+    form keeps argparse from reading a negative number as an option."""
+    return [f"--{name}={value}" for name, value in values.items() if value is not None]
+
+
+@given(
+    values=st.fixed_dictionaries(
+        {
+            "radius": ARG_FLOAT,
+            "thickness": ARG_FLOAT,
+            "modulus": ARG_FLOAT,
+            "pressure": ARG_FLOAT,
+            "nu": ARG_NU,
+        }
+    )
+)
+@example(values={"radius": "0.13", "thickness": "1e120", "modulus": "2e6", "pressure": "1300", "nu": None})
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_any_solve_shell_numbers_exit_cleanly(tmp_path, capsys, values):
+    # no --W0 and no --critical: only the parameters and tau are computed
+    capsys.readouterr()
+    code = main(["solve-shell", *_argv_options(values), "--out", str(tmp_path / "shell")])
+    assert code in (0, 2)
+    _assert_clean_exit(code, *capsys.readouterr())
+
+
+@given(
+    values=st.fixed_dictionaries(
+        {
+            "radius": ARG_FLOAT,
+            "thickness": ARG_FLOAT,
+            "wrinkles": st.integers(1, 40) | st.integers(min_value=-(10**400), max_value=10**400),
+            "nu": ARG_NU,
+        }
+    )
+)
+@example(values={"radius": "1e100", "thickness": "1e-100", "wrinkles": 8, "nu": None})
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_any_estimate_numbers_exit_cleanly(tmp_path, capsys, values):
+    target = tmp_path / "target.csv"
+    if not target.exists():
+        write_series(target, 1300.0)
+        write_calibration(tmp_path)
+    capsys.readouterr()
+    code = main(
+        [
+            "estimate",
+            "--series", str(target), "--calibration", str(tmp_path / "calibration.json"),
+            *_argv_options(values),
+        ]
+    )
+    assert code in (0, 2)
     _assert_clean_exit(code, *capsys.readouterr())
 
 

@@ -26,6 +26,7 @@ from inflatekit.estimator import (
     run_procedure3,
 )
 from inflatekit.measurement import IndentationSample, IndentationSeries
+from inflatekit.shell import ShellParams
 
 KS_REF = 0.64
 
@@ -56,7 +57,6 @@ class TestRegressPhat:
         reg = regress_phat(linear_series(1300.0))
         assert reg.Pg_hat == pytest.approx(KS_REF * 1300.0, rel=1e-12)
         assert reg.r2 == pytest.approx(1.0, abs=1e-12)
-        assert reg.intercept == pytest.approx(0.0, abs=1e-9)
 
     def test_noisy_series_within_six_percent(self):
         rng = np.random.default_rng(42)
@@ -100,6 +100,26 @@ class TestRegressPhat:
                 regress_phat(series(1e154))
             assert regress_phat(series(5e153)).r2 == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "depth, message",
+        [
+            (1e200, "depths up to 3e\\+200 m are too large to fit"),
+            (1e-306, "depths up to 3e-306 m are too small to fit"),
+        ],
+        ids=["squares-overflow", "squares-underflow"],
+    )
+    def test_out_of_range_depths_rejected_without_warning(self, depth, message):
+        series = IndentationSeries(
+            samples=tuple(IndentationSample(force=k, depth=depth * k) for k in (1, 2, 3)),
+            object_id="range",
+            region_radius=0.13,
+            region_thickness=8.6e-4,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                regress_phat(series)
+
     def test_poor_fit_warns(self):
         series = IndentationSeries(
             samples=(
@@ -113,27 +133,6 @@ class TestRegressPhat:
         )
         with pytest.warns(UserWarning, match="r2"):
             regress_phat(series)
-
-    def test_per_level_averaging_collapses_repeats(self):
-        # repeated trials per force level; averaging must equal a fit on means
-        samples = []
-        for f, ws in [(2.0, (0.009, 0.010, 0.011)), (4.0, (0.019, 0.020, 0.021)), (6.0, (0.029, 0.030, 0.031))]:
-            samples.extend(IndentationSample(force=f, depth=w) for w in ws)
-        series = IndentationSeries(
-            samples=tuple(samples), object_id="rep", region_radius=0.13, region_thickness=8.6e-4
-        )
-        averaged = regress_phat(series, average_levels=True)
-        means = IndentationSeries(
-            samples=(
-                IndentationSample(force=2.0, depth=0.010),
-                IndentationSample(force=4.0, depth=0.020),
-                IndentationSample(force=6.0, depth=0.030),
-            ),
-            object_id="rep",
-            region_radius=0.13,
-            region_thickness=8.6e-4,
-        )
-        assert averaged.slope == pytest.approx(regress_phat(means).slope, rel=1e-12)
 
     @given(scale=st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=50, deadline=None)
@@ -231,6 +230,15 @@ class TestModulusFromWrinkles:
         with pytest.raises(ValidationError):
             estimate_modulus_from_wrinkles(R=0.13, h=8.6e-4, n=0.5, Pg=1300.0)
 
+    @pytest.mark.parametrize(
+        "R, h, Pg",
+        [(1e100, 1e-100, 1300.0), (1e-200, 1.0, 1300.0), (0.13, 8.6e-4, math.inf)],
+        ids=["E-overflows", "E-underflows", "infinite-pressure"],
+    )
+    def test_out_of_range_modulus_rejected(self, R, h, Pg):
+        with pytest.raises(ValidationError):
+            estimate_modulus_from_wrinkles(R=R, h=h, n=8, Pg=Pg)
+
     @given(scale=st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=50, deadline=None)
     def test_depends_on_radius_thickness_ratio_only(self, scale):
@@ -285,6 +293,18 @@ class TestRunProcedure3:
         est = run_procedure3(series, exact_calibration(), n=n)
         assert est.Pg == pytest.approx(Pg, rel=1e-9)
         assert est.E == pytest.approx(E, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 8, 13, 40, 199])
+    def test_tau_is_the_bendability_of_the_estimate(self, n):
+        est = run_procedure3(linear_series(1300.0), exact_calibration(), n=n)
+        params = ShellParams(R=0.13, h=8.6e-4, E=est.E, nu=est.nu, Pg=est.Pg)
+        assert est.diagnostics["tau"] == pytest.approx(params.tau, rel=1e-15)
+
+    def test_overflowing_tau_rejected(self):
+        # E stays finite for R / h = 1e200, but (n / 1.33)^2 overflows
+        series = linear_series(1300.0, R=1e100, h=1e-100)
+        with pytest.raises(ValidationError, match="tau"):
+            run_procedure3(series, exact_calibration(), n=10**160)
 
     def test_json_schema(self):
         est = run_procedure3(linear_series(1300.0), exact_calibration(), n=8)

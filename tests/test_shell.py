@@ -12,8 +12,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from inflatekit import shell
 from inflatekit.errors import NonConvergenceError, ValidationError
@@ -22,7 +20,6 @@ from inflatekit.shell import (
     ShellSolution,
     SolverOptions,
     cap_profile,
-    cap_volume_change,
     critical_depth,
     solve_indentation,
     solution_to_csv,
@@ -70,7 +67,10 @@ class TestShellParams:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("R", -1.0), ("h", 0.0), ("E", -2.0), ("E", 1e-160), ("Pg", 0.0), ("nu", 0.6)],
+        [
+            ("R", -1.0), ("h", 0.0), ("E", -2.0), ("E", 1e-160), ("Pg", 0.0), ("nu", 0.6),
+            ("h", 1e120), ("R", 1e200),  # h^3 or R^2 overflows
+        ],
     )
     def test_invalid_parameters(self, field, value):
         kwargs = dict(R=0.13, h=8.6e-4, E=2.3e6, nu=0.4, Pg=1300.0)
@@ -484,23 +484,6 @@ class TestCapProfile:
             junction.append(abs(np.interp(rc, sol.rho, sol.W)) / depth)
         assert rms[0] > rms[1] > rms[2]
         assert junction[0] > junction[1] > junction[2]
-
-
-class TestCapVolumeChange:
-    def test_reference_value(self):
-        # half pi R w0^2 with R = 0.13 m, w0 = 0.01 m
-        assert cap_volume_change(BALL, 0.01) == pytest.approx(2.042e-5, rel=1e-3)
-
-    def test_zero_depth_rejected(self):
-        with pytest.raises(ValidationError):
-            cap_volume_change(BALL, 0.0)
-
-    @given(w0=st.floats(min_value=1e-6, max_value=0.1))
-    @settings(max_examples=50, deadline=None)
-    def test_quadratic_scaling(self, w0):
-        assert cap_volume_change(BALL, 2 * w0) == pytest.approx(
-            4 * cap_volume_change(BALL, w0), rel=1e-12
-        )
 
 
 class TestShellSolutionInvariants:

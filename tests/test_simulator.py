@@ -8,7 +8,6 @@ import pytest
 
 from inflatekit import geometry, simulator
 from inflatekit.errors import (
-    EmptyContactError,
     InsufficientDataError,
     SimulationInstabilityError,
     TopologyError,
@@ -26,7 +25,6 @@ from inflatekit.simulator import (
     equivalent_radius,
     indent_virtual,
     init_sim,
-    measure_deformation,
     run,
     step,
     step_count,
@@ -346,21 +344,6 @@ class TestIndentation:
             indent_virtual(state, config, target_depth=0.01)
 
 
-class TestMeasureDeformation:
-    def test_sphere_tangent_to_floor(self):
-        state = ball_state(subdivisions=3, center=(0.0, 0.0, 0.13))
-        out = measure_deformation(state, contact_tol=1e-6)
-        assert out["H"] == pytest.approx(2 * 0.13, rel=1e-6)
-        assert out["Dl"] == pytest.approx(0.0, abs=1e-9)  # single-point contact
-        assert out["d"] == pytest.approx(0.0, abs=1e-9)  # no dip in a sphere
-        assert out["Du"] < 0.05  # rim band hugs the apex
-
-    def test_no_contact_raises(self):
-        state = ball_state(center=(0.0, 0.0, 1.0))
-        with pytest.raises(EmptyContactError):
-            measure_deformation(state)
-
-
 # ---------------------------------------------------------------------------
 # Equivalence with the batched-matrix / np.add.at force assembly that the
 # per-component kernel replaced.  The reference is the former library code.
@@ -434,7 +417,7 @@ class TestForceKernelMatchesReference:
             assert np.abs(got - want).max() <= 1e-12 * scale
 
         close(model.masses, masses, masses.max())
-        close(model._elastic_forces(x, 0), elastic, scale)
+        close(model.internal_forces(x, 0.0, 0) - model.pressure_offset, elastic, scale)
         close(model._pressure_forces(x, pg), pressure, np.abs(pressure).max())
         close(
             model.internal_forces(x, pg, 0) - model.pressure_offset,
