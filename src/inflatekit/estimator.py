@@ -20,6 +20,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 import numpy as np
 
@@ -179,6 +180,19 @@ def estimate_pressure(series: IndentationSeries, cal: Calibration) -> float:
     return regress_phat(series).Pg_hat / cal.ks
 
 
+def _show_count(n) -> str:
+    """The wrinkle count n as an error message shows it.
+
+    An integer of more than 15 digits becomes its leading digits and its
+    digit count: its full decimal form can be any length, and str() refuses
+    one beyond 4300 digits.
+    """
+    if isinstance(n, int) and not -(10**15) < n < 10**15:
+        sign, digits, _ = Decimal(n).as_tuple()
+        return f"{'-' * sign}{''.join(map(str, digits[:6]))}... ({len(digits)} digits)"
+    return f"{n}"
+
+
 def estimate_modulus_from_wrinkles(
     R: float, h: float, n: float, Pg: float, nu: float = DEFAULT_NU
 ) -> float:
@@ -193,7 +207,7 @@ def estimate_modulus_from_wrinkles(
         if not (0 < value < math.inf):
             raise ValidationError(f"{name} must be finite and > 0, got {value}")
     if not (n >= 1):
-        raise ValidationError(f"n must be >= 1, got {n}")
+        raise ValidationError(f"n must be >= 1, got {_show_count(n)}")
     if not (0 < nu < 0.5):
         raise ValidationError(f"nu must be in (0, 0.5), got {nu}")
     try:
@@ -201,7 +215,9 @@ def estimate_modulus_from_wrinkles(
     except OverflowError:  # the square, or an int n beyond float range
         e_mod = math.inf
     if not (0 < e_mod < math.inf):
-        raise ValidationError(f"modulus E from n = {n} overflows or underflows double precision")
+        raise ValidationError(
+            f"modulus E from n = {_show_count(n)} overflows or underflows double precision"
+        )
     return e_mod
 
 
@@ -257,7 +273,9 @@ def run_procedure3(
     try:
         tau = (n / WRINKLE_FACTOR) ** 2
     except OverflowError:
-        raise ValidationError(f"n = {n} is too large: tau = (n / 1.33)^2 overflows") from None
+        raise ValidationError(
+            f"n = {_show_count(n)} is too large: tau = (n / 1.33)^2 overflows"
+        ) from None
     return Estimate(
         object_id=series.object_id,
         Pg=pg,

@@ -11,8 +11,13 @@ comments. All lengths in meters.
 
 from __future__ import annotations
 
+import hashlib
+import io
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +37,11 @@ MIN_PATCH_VERTICES = 10
 
 # residual/radius above this is reported as non-uniform curvature
 CURVATURE_RESIDUAL_WARN = 0.05
+
+# bytes the load_mesh cache may hold: the vertex and face arrays of each
+# mesh plus MESH_CACHE_ENTRY_BYTES for the Python objects around them
+MESH_CACHE_BYTES = 64 * 2**20
+MESH_CACHE_ENTRY_BYTES = 1024
 
 
 @dataclass(frozen=True)
@@ -92,6 +102,19 @@ class TriMesh:
         """Same connectivity, new vertex positions."""
         return TriMesh(vertices=vertices, faces=self.faces)
 
+    @cached_property
+    def _edge_graph(self) -> csr_matrix:
+        """Undirected edges (a < b) weighted by their length, built once."""
+        n = self.n_vertices
+        a, b = _directed_edges(self.faces)
+        a, b = np.divmod(np.unique(np.minimum(a, b) * n + np.maximum(a, b)), n)
+        d = self.vertices[a] - self.vertices[b]
+        # sqrt(d.d) through the dot kernel, so each length equals
+        # np.linalg.norm of its edge vector bit for bit
+        length = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+        # explicit zero lengths (coincident vertices) stay edges in csgraph
+        return csr_matrix((length, (a, b)), shape=(n, n))
+
 
 def _directed_edges(faces: np.ndarray):
     """Tail and head vertex of every face edge, (0,1), (1,2), (2,0) per face."""
@@ -120,20 +143,81 @@ class SurfacePatch:
         return self.mesh.vertices[list(self.vertex_ids)]
 
 
+class _MeshCache:
+    """Least-recently-used meshes keyed by a digest of their file's bytes.
+
+    A mesh is frozen and its arrays are read-only, so every caller can share
+    it.  The total charge of the kept meshes stays within max_bytes.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._meshes: OrderedDict[bytes, TriMesh] = OrderedDict()
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def charge(mesh: TriMesh) -> int:
+        return mesh.vertices.nbytes + mesh.faces.nbytes + MESH_CACHE_ENTRY_BYTES
+
+    def get(self, key: bytes) -> TriMesh | None:
+        with self._lock:
+            mesh = self._meshes.get(key)
+            if mesh is not None:
+                self._meshes.move_to_end(key)
+            return mesh
+
+    def put(self, key: bytes, mesh: TriMesh) -> None:
+        charge = self.charge(mesh)
+        if charge > self.max_bytes:
+            return
+        with self._lock:
+            if key in self._meshes:
+                return
+            self._meshes[key] = mesh
+            self.nbytes += charge
+            while self.nbytes > self.max_bytes:
+                _, old = self._meshes.popitem(last=False)
+                self.nbytes -= self.charge(old)
+
+
+_MESH_CACHE = _MeshCache(MESH_CACHE_BYTES)
+
+
 def load_mesh(path) -> TriMesh:
     """Load an OBJ file; polygons with more than 3 vertices are fanned.
 
-    One pass over the lines collects the vertex and face tokens, which are
-    then converted in bulk.  Errors name the first offending line, as a
-    line-by-line reader would report them.
+    Meshes are cached per process, keyed by a digest of the file's bytes:
+    loading the same content again, from any path, returns the same
+    (immutable) mesh without parsing, and a rewritten file is parsed anew.
+    The cache holds at most MESH_CACHE_BYTES; a larger mesh is not kept.
+    Errors are not cached and always name the path passed in.
     """
     path = Path(path)
+    data = path.read_bytes()
+    key = hashlib.blake2b(data).digest()
+    mesh = _MESH_CACHE.get(key)
+    if mesh is None:
+        mesh = _parse_obj(data, path)
+        _MESH_CACHE.put(key, mesh)
+    return mesh
+
+
+def _parse_obj(data: bytes, path: Path) -> TriMesh:
+    """Parse the OBJ bytes read from path.
+
+    One pass over the lines collects the vertex and face tokens, which are
+    then converted in bulk.  Errors name path and the first offending line,
+    as a line-by-line reader would report them.
+    """
     coords, v_lines = [], []
     # face index tokens; per face line: line number, index count, vertices
     # defined before it (negative indices count back from there)
     tokens, f_lines, f_sizes, f_seen = [], [], [], []
     truncated = None  # a record too short to parse; collection stops there
-    with open(path, encoding="utf-8") as fh:
+    # decoded lazily with universal newlines, as open() would: a decoding
+    # error past a truncated record is never reached
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.split()
             if not parts:
@@ -232,16 +316,7 @@ def select_patch(mesh: TriMesh, seed: int, radius_hint: float) -> SurfacePatch:
         raise IndexRangeError(f"seed {seed} out of range [0, {mesh.n_vertices})")
     if not (radius_hint > 0):
         raise ValidationError("radius_hint must be > 0")
-    n = mesh.n_vertices
-    a, b = _directed_edges(mesh.faces)
-    a, b = np.divmod(np.unique(np.minimum(a, b) * n + np.maximum(a, b)), n)
-    d = mesh.vertices[a] - mesh.vertices[b]
-    # sqrt(d.d) through the dot kernel, so each length equals
-    # np.linalg.norm of its edge vector bit for bit
-    length = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
-    # explicit zero lengths (coincident vertices) stay edges in csgraph
-    graph = csr_matrix((length, (a, b)), shape=(n, n))
-    dist = dijkstra(graph, directed=False, indices=seed, limit=radius_hint)
+    dist = dijkstra(mesh._edge_graph, directed=False, indices=seed, limit=radius_hint)
     ids = tuple(np.flatnonzero(np.isfinite(dist)).tolist())
     if len(ids) < MIN_PATCH_VERTICES:
         raise InsufficientPatchError(

@@ -60,10 +60,10 @@ class IndentationSeries:
             raise InsufficientDataError(
                 f"need at least {MIN_SAMPLES} samples, got {len(self.samples)}"
             )
-        if not (self.region_radius > 0):
-            raise ValidationError("region_radius must be > 0")
-        if not (self.region_thickness > 0):
-            raise ValidationError("region_thickness must be > 0")
+        for name, value in (("region_radius R", self.region_radius),
+                            ("region_thickness h", self.region_thickness)):
+            if not (0 < value < math.inf):
+                raise ValidationError(f"{name} must be finite and > 0, got {value}")
         if not (self.region_thickness < self.region_radius):
             raise ValidationError("region_thickness must be < region_radius")
         ratio = self.region_thickness / self.region_radius

@@ -121,6 +121,31 @@ class TestCalibrate:
         assert capsys.readouterr().err == f"error: {HUGE_FORCES_ERROR.format(1e300)}\n"
         assert not cal_path.exists()
 
+    @pytest.mark.parametrize(
+        "radius, thickness, error",
+        [
+            ("inf", str(H), "region_radius R must be finite and > 0, got inf"),
+            ("nan", str(H), "region_radius R must be finite and > 0, got nan"),
+            (str(R), "inf", "region_thickness h must be finite and > 0, got inf"),
+        ],
+    )
+    def test_non_finite_geometry_is_named(self, tmp_path, capsys, radius, thickness, error):
+        s800 = write_series(tmp_path / "a.csv", 800.0)
+        s2000 = write_series(tmp_path / "b.csv", 2000.0)
+        cal_path = tmp_path / "cal.json"
+        code = main(
+            [
+                "calibrate",
+                "--series", str(s800), "--pressure", "800",
+                "--series", str(s2000), "--pressure", "2000",
+                "--radius", radius, "--thickness", thickness,
+                "--out", str(cal_path),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not cal_path.exists()
+
 
 class TestEstimate:
     def test_round_trip_with_explicit_radius(self, tmp_path, capsys):
@@ -506,6 +531,44 @@ def test_any_estimate_numbers_exit_cleanly(tmp_path, capsys, values):
         ]
     )
     assert code in (0, 2)
+    _assert_clean_exit(code, *capsys.readouterr())
+
+
+# a seed vertex of the 642-vertex icosphere: in range, negative or huge
+SEED_VERTEX = st.integers(0, 641) | st.integers(-(10**30), -1) | st.integers(642, 10**30)
+# a patch radius for an R = 0.13 m sphere: ordinary or any argv number
+PATCH_RADIUS = st.floats(min_value=1e-3, max_value=1.0) | st.floats()
+
+
+@given(seed_vertex=SEED_VERTEX, patch_radius=PATCH_RADIUS)
+@example(seed_vertex=-1, patch_radius=0.05)
+@example(seed_vertex=10**30, patch_radius=0.05)
+@example(seed_vertex=0, patch_radius=0.0)
+@example(seed_vertex=0, patch_radius=-0.05)
+@example(seed_vertex=0, patch_radius=math.nan)
+@example(seed_vertex=0, patch_radius=math.inf)
+@example(seed_vertex=0, patch_radius=5e-324)
+@example(seed_vertex=0, patch_radius=1e308)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_any_mesh_patch_argv_exits_cleanly(tmp_path, capsys, seed_vertex, patch_radius):
+    # one scan for every example: after the first call each load is a
+    # cache hit, and the cached mesh carries its edge graph along
+    mesh_path = tmp_path / "ball.obj"
+    target = tmp_path / "target.csv"
+    if not mesh_path.exists():
+        save_mesh(icosphere(radius=R, subdivisions=3), mesh_path)
+        write_series(target, 1300.0)
+        write_calibration(tmp_path)
+    capsys.readouterr()
+    code = main(
+        [
+            "estimate",
+            "--series", str(target), "--calibration", str(tmp_path / "calibration.json"),
+            "--mesh", str(mesh_path), f"--seed-vertex={seed_vertex}",
+            f"--patch-radius={patch_radius!r}", "--thickness", str(H), "--wrinkles", "8",
+        ]
+    )
     _assert_clean_exit(code, *capsys.readouterr())
 
 

@@ -239,6 +239,16 @@ class TestModulusFromWrinkles:
         with pytest.raises(ValidationError):
             estimate_modulus_from_wrinkles(R=R, h=h, n=8, Pg=Pg)
 
+    @pytest.mark.parametrize(
+        "n, shown",
+        [(10**300, "100000... (301 digits)"), (10**400, "100000... (401 digits)")],
+        ids=["1e300-underflows", "1e400-beyond-float"],
+    )
+    def test_long_wrinkle_count_is_shortened(self, n, shown):
+        with pytest.raises(ValidationError) as err:
+            estimate_modulus_from_wrinkles(R=0.13, h=8.6e-4, n=n, Pg=1300.0)
+        assert str(err.value) == f"modulus E from n = {shown} overflows or underflows double precision"
+
     @given(scale=st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=50, deadline=None)
     def test_depends_on_radius_thickness_ratio_only(self, scale):

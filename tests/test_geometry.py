@@ -2,12 +2,15 @@
 
 import heapq
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
+from inflatekit import geometry
 from inflatekit.errors import (
     DegenerateFitError,
     IndexRangeError,
@@ -410,3 +413,123 @@ class TestArrayRewritesMatchLoops:
         assert f":{line}:" in str(err.value)
         if isinstance(err.value, ParseError):
             assert err.value.line == line
+
+
+@pytest.fixture
+def mesh_cache(monkeypatch):
+    """An empty load_mesh cache for the test, with the default bound."""
+    cache = geometry._MeshCache(geometry.MESH_CACHE_BYTES)
+    monkeypatch.setattr(geometry, "_MESH_CACHE", cache)
+    return cache
+
+
+class TestMeshCache:
+    def test_same_bytes_at_two_paths_give_the_cached_mesh(self, tmp_path, mesh_cache):
+        first, second = tmp_path / "a.obj", tmp_path / "b.obj"
+        save_mesh(noisy_icosphere(2, 5), first)
+        second.write_bytes(first.read_bytes())
+        mesh = load_mesh(first)
+        again = load_mesh(second)
+        np.testing.assert_array_equal(again.vertices, mesh.vertices)
+        np.testing.assert_array_equal(again.faces, mesh.faces)
+        assert again is mesh
+
+    def test_file_rewritten_in_place_gives_the_new_mesh(self, tmp_path, mesh_cache):
+        path = tmp_path / "scan.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+        stat = path.stat()
+        before = load_mesh(path)
+        # same size and modification time, different content
+        path.write_text("v 0 0 0\nv 2 0 0\nv 0 1 0\nf 1 2 3\n")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        after = load_mesh(path)
+        assert before.vertices[1, 0] == 1.0
+        assert after.vertices[1, 0] == 2.0
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n",
+            "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 0\n",
+            "v 0 0 0\nv 1 0\n",
+            "# no records\n",
+        ],
+        ids=["non-integer-index", "zero-index", "truncated-vertex", "no-vertices"],
+    )
+    def test_errors_are_not_cached(self, tmp_path, mesh_cache, body):
+        for name in ("a.obj", "b.obj", "a.obj", "b.obj"):
+            path = tmp_path / name
+            path.write_text(body, encoding="utf-8")
+            with pytest.raises((ParseError, IndexRangeError)) as expected:
+                reference_load_mesh(path)
+            with pytest.raises(type(expected.value)) as err:
+                load_mesh(path)
+            assert str(err.value) == str(expected.value)
+            assert str(err.value).startswith(f"{path}:")
+        assert mesh_cache.nbytes == 0
+
+    def test_cache_stays_within_its_byte_bound(self, tmp_path, monkeypatch):
+        meshes = [noisy_icosphere(1, seed) for seed in range(6)]
+        cache = geometry._MeshCache(3 * geometry._MeshCache.charge(meshes[0]))
+        monkeypatch.setattr(geometry, "_MESH_CACHE", cache)
+        loaded = []
+        for k, mesh in enumerate(meshes):
+            path = tmp_path / f"m{k}.obj"
+            save_mesh(mesh, path)
+            loaded.append(load_mesh(path))
+            assert 0 < cache.nbytes <= cache.max_bytes
+        # the three most recently used stay; the oldest is parsed anew
+        assert all(load_mesh(tmp_path / f"m{k}.obj") is loaded[k] for k in (3, 4, 5))
+        again = load_mesh(tmp_path / "m0.obj")
+        assert again is not loaded[0]
+        np.testing.assert_array_equal(again.vertices, loaded[0].vertices)
+        assert cache.nbytes <= cache.max_bytes
+
+    def test_mesh_larger_than_the_bound_is_not_kept(self, tmp_path, monkeypatch):
+        small, large = tmp_path / "small.obj", tmp_path / "large.obj"
+        save_mesh(icosahedron(), small)
+        save_mesh(noisy_icosphere(2, 7), large)
+        cache = geometry._MeshCache(2 * geometry._MeshCache.charge(icosahedron()))
+        monkeypatch.setattr(geometry, "_MESH_CACHE", cache)
+        kept = load_mesh(small)
+        assert load_mesh(large) is not load_mesh(large)
+        # the large mesh evicted nothing
+        assert load_mesh(small) is kept
+        assert cache.nbytes == geometry._MeshCache.charge(kept)
+
+    def test_lines_split_as_open_splits_them(self, tmp_path, mesh_cache):
+        # universal newlines only: \x0b, \x0c, \x1c, \x85 and \u2028 are
+        # whitespace inside a line, not line breaks
+        body = "v 0 0 0\r\nv 1 0 0\rv 0 1 0\x0cv 9 9 9\nv 0 0 1\x1cv 8 8 8\u2028\nf 1 2 3\x85 4\x0b\nf 1 2 4\x1c\n"
+        path = tmp_path / "breaks.obj"
+        path.write_bytes(body.encode("utf-8"))
+        vertices, faces = reference_load_mesh(path)
+        mesh = load_mesh(path)
+        np.testing.assert_array_equal(mesh.vertices, vertices)
+        np.testing.assert_array_equal(mesh.faces, faces)
+        assert (mesh.n_vertices, mesh.n_faces) == (4, 3)
+
+    def test_decoding_stops_at_a_truncated_record(self, tmp_path, mesh_cache):
+        # bytes that are not UTF-8 past the first read chunk are never decoded
+        path = tmp_path / "truncated.obj"
+        path.write_bytes(b"v 0 0 0\nv 1 0\n" + b"# padding\n" * 2000 + b"\xff\n")
+        with pytest.raises(ParseError) as err:
+            load_mesh(path)
+        assert str(err.value) == f"{path}:2: vertex needs 3 coordinates"
+
+    def test_select_patch_builds_the_graph_once(self, tmp_path, mesh_cache, monkeypatch):
+        path = tmp_path / "scan.obj"
+        save_mesh(noisy_icosphere(3, 6), path)
+        built = []
+
+        def counting_csr_matrix(*args, **kwargs):
+            built.append(args)
+            return csr_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "csr_matrix", counting_csr_matrix)
+        for seed, radius in [(5, 0.6), (5, 0.6), (17, 1.0), (5, 0.6)]:
+            mesh = load_mesh(path)
+            expected = tuple(sorted(reference_patch_distances(mesh, seed, radius)))
+            assert select_patch(mesh, seed, radius).vertex_ids == expected
+        assert len(built) == 1
