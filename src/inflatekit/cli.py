@@ -8,6 +8,7 @@ idempotent.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -355,7 +356,9 @@ def cmd_mesh_info(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="inflatekit",
         description="Estimate gauge pressure and elastic modulus of inflated "

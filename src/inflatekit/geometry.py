@@ -85,18 +85,24 @@ class TriMesh:
         """Directed edges not matched by an opposite twin, sorted.
 
         Empty result means the mesh is watertight and consistently oriented.
+        Each call returns a new list.
         """
+        return list(self._boundary_edges)
+
+    @cached_property
+    def _boundary_edges(self) -> tuple:
+        """The sorted boundary edges as (a, b) pairs, found once per mesh."""
         n = self.n_vertices
         a, b = _directed_edges(self.faces)
         # a*n + b orders keys as (a, b) pairs; unique drops repeated edges
         keys = np.unique(a * n + b)
         a, b = np.divmod(keys, n)
         open_ = ~np.isin(b * n + a, keys, assume_unique=True)
-        return list(zip(a[open_].tolist(), b[open_].tolist()))
+        return tuple(zip(a[open_].tolist(), b[open_].tolist()))
 
     @property
     def is_watertight(self) -> bool:
-        return not self.boundary_edges()
+        return not self._boundary_edges
 
     def with_vertices(self, vertices: np.ndarray) -> "TriMesh":
         """Same connectivity, new vertex positions."""
@@ -104,7 +110,8 @@ class TriMesh:
 
     @cached_property
     def _edge_graph(self) -> csr_matrix:
-        """Undirected edges (a < b) weighted by their length, built once."""
+        """Edges weighted by their length, stored in both directions so that
+        a directed search needs no transpose; built once."""
         n = self.n_vertices
         a, b = _directed_edges(self.faces)
         a, b = np.divmod(np.unique(np.minimum(a, b) * n + np.maximum(a, b)), n)
@@ -112,8 +119,12 @@ class TriMesh:
         # sqrt(d.d) through the dot kernel, so each length equals
         # np.linalg.norm of its edge vector bit for bit
         length = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
-        # explicit zero lengths (coincident vertices) stay edges in csgraph
-        return csr_matrix((length, (a, b)), shape=(n, n))
+        # explicit zero lengths (coincident vertices) stay edges in csgraph;
+        # G + G.T would drop them
+        return csr_matrix(
+            (np.concatenate([length, length]), (np.concatenate([a, b]), np.concatenate([b, a]))),
+            shape=(n, n),
+        )
 
 
 def _directed_edges(faces: np.ndarray):
@@ -316,7 +327,7 @@ def select_patch(mesh: TriMesh, seed: int, radius_hint: float) -> SurfacePatch:
         raise IndexRangeError(f"seed {seed} out of range [0, {mesh.n_vertices})")
     if not (radius_hint > 0):
         raise ValidationError("radius_hint must be > 0")
-    dist = dijkstra(mesh._edge_graph, directed=False, indices=seed, limit=radius_hint)
+    dist = dijkstra(mesh._edge_graph, directed=True, indices=seed, limit=radius_hint)
     ids = tuple(np.flatnonzero(np.isfinite(dist)).tolist())
     if len(ids) < MIN_PATCH_VERTICES:
         raise InsufficientPatchError(

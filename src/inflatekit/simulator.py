@@ -12,6 +12,13 @@ elastic strain is measured from the inflated shape and the initial pressure
 load is balanced by a constant per-vertex offset computed at init.  This
 sidesteps the (out-of-scope) inverse problem of recovering a deflated rest
 shape.
+
+Forces are evaluated component-major: positions are read as a (3, n)
+array, so each per-vertex and per-face operation runs over one contiguous
+row of n vertices or m faces, and every step makes one gather of the face
+corners and one scatter of their forces.  SimState therefore keeps its
+(n, 3) positions and velocities Fortran-ordered: their transpose is that
+(3, n) array without a copy.
 """
 
 from __future__ import annotations
@@ -42,6 +49,9 @@ CONTACT_TOL = 1e-4
 
 # det C at or below this marks a collapsed membrane element
 DET_C_MIN = 1e-16
+
+# signs of adj(Q) = [[q22, -q12], [-q12, q11]] against Q reversed on both axes
+_ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
 
 
 @dataclass(frozen=True)
@@ -156,7 +166,10 @@ def _equibiaxial_stretch(material: MaterialSpec, tension: float) -> float:
 
 
 class _MembraneModel:
-    """Precomputed discretization shared by all states of one simulation."""
+    """Precomputed discretization shared by all states of one simulation.
+
+    Holds only constants, so one model may serve several threads at once.
+    """
 
     def __init__(self, mesh: TriMesh, material: MaterialSpec):
         self.material = material
@@ -184,13 +197,11 @@ class _MembraneModel:
         # Face-corner -> vertex incidence.  Corner k of face f is entry
         # k*m + f; per-corner values are kept component-major, (3, 3, m) =
         # (xyz, corner, face), so every per-face formula below works on
-        # contiguous (m,) rows.  All per-vertex sums scatter through it.
+        # contiguous (m,) rows.  Flat index of each (component, corner) into
+        # a (3, n) array: the gather and the scatter share it.
         n = mesh.n_vertices
         corner_vertex = self.faces.T.ravel()
-        # flat index of each (component, corner) into an (n, 3) array, and
-        # into x.T.ravel() for the gather
-        self._corner_slot = (3 * corner_vertex + np.arange(3)[:, None]).ravel()
-        self._corner_gather = (corner_vertex + n * np.arange(3)[:, None]).ravel()
+        self._corner_index = (corner_vertex + n * np.arange(3)[:, None]).ravel()
         # lumped vertex masses from the digitized (inflated) areal density
         inflated_area = 0.5 * l1 * l2
         self.masses = np.bincount(
@@ -217,105 +228,96 @@ class _MembraneModel:
         l1 = l1 / self.prestretch
         proj = proj / self.prestretch
         l2 = l2 / self.prestretch
-        # rest shape matrix Dm = [[l1, proj], [0, l2]]; its inverse is the
-        # upper-triangular [[a, b], [0, d]]
-        self.dm_inv = (1.0 / l1, -proj / (l1 * l2), 1.0 / l2)
         self.rest_area = 0.5 * l1 * l2
-        # -rest_area * h * Dm^-1, the per-face factors of the nodal forces
-        k = -self.rest_area * material.h
-        self.force_dm_inv = tuple(k * entry for entry in self.dm_inv)
+        # The rest shape matrix Dm = [[l1, proj], [0, l2]] has the inverse
+        # [[a, b], [0, d]].  With Q the Gram matrix of the edges e1, e2,
+        # C = Dm^-T Q Dm^-1, so det C = det Q (a d)^2 and trace C = G : Q
+        # with G = Dm^-1 Dm^-T, and the nodal forces -rest_area h F S Dm^-T
+        # on corners 1 and 2 are [e1, e2] H with
+        # H = k (mu G + (lam ln J - mu) Q^-1), k = -rest_area h.
+        a, b, d = 1.0 / l1, -proj / (l1 * l2), 1.0 / l2
+        self._det_dm_inv_sq = (a * d) ** 2
+        g12 = b * d
+        self._g = np.array([[a * a + b * b, g12], [g12, d * d]])
+        self._k = -self.rest_area * material.h
+        self._k_mu_g = self._k * material.mu * self._g
         # constant offset absorbing the residual imbalance at init
-        # (zero for a perfect sphere)
-        self.pressure_offset = -self._forces(*self._geometry(x)[:3], material.Pg0, 0)
+        # (zero for a perfect sphere); (n, 3) view of a (3, n) array
+        self.pressure_offset = -self._forces(x.T, material.Pg0, 0)[0].T
+        # step constants of the last config stepped: (key, constants)
+        self._last_constants = (None, None)
 
-    def _scatter(self, corner_forces: np.ndarray) -> np.ndarray:
-        """Sum (3, 3, m) per-corner forces into (n, 3) vertex forces."""
-        n = len(self.masses)
-        return np.bincount(
-            self._corner_slot, weights=corner_forces.ravel(), minlength=3 * n
-        ).reshape(n, 3)
-
-    def _geometry(self, x: np.ndarray):
-        """Edge vectors e1 = x1 - x0 and e2 = x2 - x0, doubled face vector
-        areas n = e1 x e2 (each (3, m)) and the enclosed volume sum x0.n / 6,
-        all from one gather of the face corners."""
-        corners = x.T.ravel().take(self._corner_gather).reshape(3, 3, -1)
+    def _shape(self, xt: np.ndarray):
+        """Face corners (3, 3, m), edge vectors e = (x1 - x0, x2 - x0) as
+        (3, 2, m), doubled face vector areas n = e1 x e2 as (3, m) and the
+        enclosed volume sum x0.n / 6, all from one gather of the (3, n)
+        positions xt."""
+        corners = np.take(xt, self._corner_index).reshape(3, 3, -1)
         x0 = corners[:, 0]
-        e1 = corners[:, 1] - x0
-        e2 = corners[:, 2] - x0
-        n = np.stack([e1[1] * e2[2] - e1[2] * e2[1],
-                      e1[2] * e2[0] - e1[0] * e2[2],
-                      e1[0] * e2[1] - e1[1] * e2[0]])
-        return e1, e2, n, float((x0 * n).sum() / 6.0)
+        e = corners[:, 1:] - corners[:, :1]
+        e1, e2 = e[:, 0], e[:, 1]
+        n = np.empty_like(x0)
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            np.multiply(e1[j], e2[k], out=n[i])
+            n[i] -= e1[k] * e2[j]
+        return corners, e, n, float(np.einsum("im,im->", x0, n) / 6.0)
 
-    @staticmethod
-    def _pressure_corner_forces(n, pg: float) -> np.ndarray:
-        """Pg times face vector area, a third on each corner, (3, 3, m)."""
-        third = (pg / 6.0) * n
-        return np.broadcast_to(third[:, None, :], (3, 3, third.shape[1]))
+    def _forces(self, xt: np.ndarray, pg: float | None, frame: int | None):
+        """Elastic plus pressure forces on the (3, n) positions xt.
 
-    def _strain(self, e1, e2):
-        """F = [g1, g2] = [e1, e2] Dm^-1 and C = F^T F: g1, g2, c11, c12, c22, det C."""
-        a, b, d = self.dm_inv
-        g1 = a * e1
-        g2 = b * e1 + d * e2
-        c11 = (g1 * g1).sum(axis=0)
-        c12 = (g1 * g2).sum(axis=0)
-        c22 = (g2 * g2).sum(axis=0)
-        return g1, g2, c11, c12, c22, c11 * c22 - c12 * c12
-
-    def _elastic_corner_forces(self, e1, e2, frame: int | None) -> np.ndarray:
-        """Neo-Hookean membrane forces on each face corner, (3, 3, m).
-
-        Plane-stress, thickness-integrated.  The 2x2 tensors are written
-        out by components: F = [g1, g2] (3-vector columns), C = F^T F,
-        S = mu (I - C^-1) + lam ln J C^-1 and P = F S = [p1, p2].
+        One gather of the face corners, per-face scalars and one scatter.
+        pg None takes the gas pressure of xt's own volume.  Returns the
+        (3, n) forces, the volume, the edge Gram matrices Q (2, 2, m) and
+        ln det C.  A volume at or below zero (pg None) or a collapsed
+        element raises SimulationInstabilityError.
         """
         mat = self.material
-        g1, g2, c11, c12, c22, det_c = self._strain(e1, e2)
-        collapsed = det_c <= DET_C_MIN
-        if collapsed.any():
-            raise SimulationInstabilityError(
-                "membrane element collapsed (det C -> 0)",
-                face_id=int(np.flatnonzero(collapsed)[0]),
-                frame=frame,
-            )
-        # S = mu I + (lam ln J - mu) C^-1 with ln J = ln(det C) / 2 and
-        # C^-1 = [[c22, -c12], [-c12, c11]] / det C
-        t = (0.5 * mat.lam * np.log(det_c) - mat.mu) / det_c
-        s11 = mat.mu + t * c22
-        s12 = -t * c12
-        s22 = mat.mu + t * c11
-        p1 = g1 * s11 + g2 * s12
-        p2 = g1 * s12 + g2 * s22
-        # nodal forces -rest_area h P Dm^-T on corners 1 and 2; corner 0
-        # takes minus their sum
-        ka, kb, kd = self.force_dm_inv
-        f1 = ka * p1 + kb * p2
-        f2 = kd * p2
-        return np.stack([-(f1 + f2), f1, f2], axis=1)
-
-    def _forces(self, e1, e2, n, pg: float, frame: int | None) -> np.ndarray:
-        """Elastic plus pressure forces, summed per face corner and scattered once."""
-        corner = self._elastic_corner_forces(e1, e2, frame) + self._pressure_corner_forces(n, pg)
-        return self._scatter(corner)
-
-    def _pressure_forces(self, x: np.ndarray, pg: float) -> np.ndarray:
-        """Pg times face vector area, lumped equally to the face's vertices."""
-        return self._scatter(self._pressure_corner_forces(self._geometry(x)[2], pg))
-
-    def internal_forces(self, x: np.ndarray, pg: float | None = None, frame: int | None = None):
-        """Elastic + pressure + prestress offset (sums to ~0 at rest).
-
-        pg defaults to the gas pressure of x's own enclosed volume; that
-        volume at or below zero raises SimulationInstabilityError.
-        """
-        e1, e2, n, volume = self._geometry(x)
+        corners, e, n, volume = self._shape(xt)
         if pg is None:
             if not volume > 0:
                 raise SimulationInstabilityError("enclosed volume collapsed", frame=frame)
             pg = _gas_pressure(self, volume)
-        return self._forces(e1, e2, n, pg, frame) + self.pressure_offset
+        gram = np.einsum("ijm,ikm->jkm", e, e)
+        det_q = np.einsum("im,im->m", n, n)  # det Q without its cancellation
+        det_c = det_q * self._det_dm_inv_sq
+        if det_c.min() <= DET_C_MIN:
+            raise SimulationInstabilityError(
+                "membrane element collapsed (det C -> 0)",
+                face_id=int(np.flatnonzero(det_c <= DET_C_MIN)[0]),
+                frame=frame,
+            )
+        log_det = np.log(det_c)
+        # H = k mu G + w adj(Q) with w = k (lam ln J - mu) / det Q
+        w = log_det * (0.5 * mat.lam)
+        w -= mat.mu
+        w *= self._k
+        w /= det_q
+        h = _ADJ_SIGN * w
+        h *= gram[::-1, ::-1]
+        h += self._k_mu_g
+        # the corner buffer reuses the gathered corners: corners 1 and 2
+        # take [e1, e2] H, corner 0 minus their sum, and every corner a
+        # third of the pressure force pg n / 2
+        np.einsum("cim,ijm->cjm", e, h, out=corners[:, 1:])
+        np.add(corners[:, 1], corners[:, 2], out=corners[:, 0])
+        pressure = n
+        pressure *= pg / 6.0
+        np.subtract(pressure, corners[:, 0], out=corners[:, 0])
+        corners[:, 1:] += pressure[:, None]
+        forces = np.bincount(
+            self._corner_index, weights=corners.ravel(), minlength=xt.size
+        ).reshape(3, -1)
+        return forces, volume, gram, log_det
+
+    def internal_forces(self, x: np.ndarray, pg: float | None = None, frame: int | None = None):
+        """Elastic + pressure + prestress offset (sums to ~0 at rest), (n, 3).
+
+        pg defaults to the gas pressure of x's own enclosed volume; that
+        volume at or below zero raises SimulationInstabilityError.
+        """
+        forces = self._forces(x.T, pg, frame)[0]
+        forces += self.pressure_offset.T
+        return forces.T
 
     def potential(self, x: np.ndarray, gravity: np.ndarray):
         """Total potential energy at x and its gradient, (float, (n, 3)).
@@ -326,21 +328,40 @@ class _MembraneModel:
         the gradient is -(internal_forces(x) + gravity).
         """
         mat = self.material
-        e1, e2, n, volume = self._geometry(x)
-        _, _, c11, _, c22, det_c = self._strain(e1, e2)
-        if (det_c <= DET_C_MIN).any() or not volume > 0:
+        try:
+            forces, volume, gram, log_det = self._forces(x.T, None, None)
+        except SimulationInstabilityError:
             return math.inf, np.zeros_like(x)
-        log_j = 0.5 * np.log(det_c)
+        trace_c = (self._g * gram).sum(axis=(0, 1))
+        log_j = 0.5 * log_det
         membrane = mat.h * self.rest_area @ (
-            0.5 * mat.mu * (c11 + c22 - 2.0) - mat.mu * log_j + 0.5 * mat.lam * log_j**2
+            0.5 * mat.mu * (trace_c - 2.0) - mat.mu * log_j + 0.5 * mat.lam * log_j**2
         )
         gas = -mat.Pg0 * volume  # -d(gas)/dV is _gas_pressure
         if mat.gas_model == "isothermal":
             gas = P_ATM * volume - (P_ATM + mat.Pg0) * self.rest_volume * math.log(volume)
-        load = self.pressure_offset + gravity
-        net = self._forces(e1, e2, n, _gas_pressure(self, volume), None) + load
-        work = float((load * x).sum())
-        return membrane + gas - work, -net
+        load = self.pressure_offset.T + gravity.T
+        forces += load
+        work = float((load * x.T).sum())
+        return membrane + gas - work, -forces.T
+
+    def _constants_for(self, config: ScenarioConfig):
+        """dt / m (n,), the prestress offset plus the weight m g as (3, n),
+        and the unit normals (k, 3) and offsets normal . point (k,) of the
+        planes of config, computed once for the last config stepped."""
+        key = (config.dt, config.gravity, config.planes)
+        cached_key, constants = self._last_constants
+        if cached_key != key:
+            normals = np.array([p.normal for p in config.planes]).reshape(-1, 3)
+            points = np.array([p.point for p in config.planes]).reshape(-1, 3)
+            constants = (
+                config.dt / self.masses,
+                self.pressure_offset.T + np.multiply.outer(config.gravity, self.masses),
+                normals,
+                (normals * points).sum(axis=1),
+            )
+            self._last_constants = (key, constants)
+        return constants
 
 
 @dataclass(frozen=True)
@@ -361,7 +382,7 @@ class SimState:
     def __post_init__(self):
         n = len(self._model.masses)
         for name in ("vertices", "velocities"):
-            a = np.array(getattr(self, name), dtype=float)
+            a = np.array(getattr(self, name), dtype=float, order="F")
             if a.shape != (n, 3):
                 raise ValidationError(f"{name} must have shape ({n}, 3)")
             a.setflags(write=False)
@@ -374,7 +395,7 @@ class SimState:
     @cached_property
     def volume(self) -> float:
         """Enclosed volume, m^3."""
-        return self._model._geometry(self.vertices)[3]
+        return self._model._shape(self.vertices.T)[3]
 
     @property
     def Pg(self) -> float:
@@ -431,27 +452,26 @@ def step(state: SimState, config: ScenarioConfig) -> SimState:
     model = state._model
     dt = config.dt
     frame = int(round(state.time / dt))
-    x = state.vertices
-    v = state.velocities
-    m = model.masses[:, None]
+    dt_m, load, normals, offsets = model._constants_for(config)
+    # (3, n) views of the Fortran-ordered (n, 3) state
+    x = state.vertices.T
+    v = state.velocities.T
 
-    forces = model.internal_forces(x, frame=frame)
-    forces += m * np.asarray(config.gravity)
+    forces = model._forces(x, None, frame)[0]
+    forces += load
     if config.damping > 0:
-        forces -= config.damping * m * v
-    v = v + dt * forces / m
+        forces -= config.damping * model.masses * v
+    v = v + dt_m * forces
 
     # frictionless plane contacts with per-episode restitution
     prev = state.contact_state
     if len(prev) != len(config.planes):
         prev = ((False, 0.0),) * len(config.planes)
     new_contact = []
-    com_v = (model.masses[:, None] * v).sum(axis=0) / model.total_mass
+    com_v = v @ model.masses / model.total_mass
     x_new = x + dt * v
-    for k, plane in enumerate(config.planes):
-        n_hat = np.asarray(plane.normal)
-        p0 = np.asarray(plane.point)
-        dist = (x_new - p0) @ n_hat
+    for k, n_hat in enumerate(normals):
+        dist = n_hat @ x_new - offsets[k]
         touching = dist < CONTACT_TOL
         was_in, v_in = prev[k]
         if touching.any():
@@ -459,12 +479,12 @@ def step(state: SimState, config: ScenarioConfig) -> SimState:
                 # entering contact: record incoming COM normal speed
                 v_in = max(0.0, -float(com_v @ n_hat))
             # project penetrating vertices; remove inward normal velocity
-            pen = dist < 0
-            if pen.any():
-                x_new[pen] -= dist[pen, None] * n_hat
-                vn = v[pen] @ n_hat
+            pen = np.flatnonzero(dist < 0)
+            if pen.size:
+                x_new[:, pen] -= n_hat[:, None] * dist[pen]
+                vn = n_hat @ v[:, pen]
                 inward = vn < 0
-                v[np.nonzero(pen)[0][inward]] -= vn[inward, None] * n_hat
+                v[:, pen[inward]] -= n_hat[:, None] * vn[inward]
             new_contact.append((True, v_in))
         else:
             if was_in and v_in > 0.0:
@@ -473,7 +493,7 @@ def step(state: SimState, config: ScenarioConfig) -> SimState:
                 # touching down after lift-off) has no bounce to restore.
                 out = float(com_v @ n_hat)
                 shift = config.restitution * v_in - out
-                v = v + shift * n_hat
+                v = v + shift * n_hat[:, None]
                 x_new = x + dt * v
             new_contact.append((False, 0.0))
 
@@ -482,7 +502,7 @@ def step(state: SimState, config: ScenarioConfig) -> SimState:
             "non-finite state after step", frame=frame + 1
         )
 
-    return SimState(vertices=x_new, velocities=v, time=state.time + dt,
+    return SimState(vertices=x_new.T, velocities=v.T, time=state.time + dt,
                     contact_state=tuple(new_contact), _model=model)
 
 
@@ -555,7 +575,7 @@ def indent_virtual(
         raise InsufficientDataError("need at least 3 depth levels")
 
     axis = np.asarray(ind.axis)
-    x = state.vertices.copy()
+    x = state.vertices.copy(order="F")
     model = state._model
     gravity = model.masses[:, None] * np.asarray(config.gravity)
     # support: hold the 30-degree cap around the axis antipode fixed

@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -805,3 +807,43 @@ class TestMeshInfo:
 
     def test_missing_mesh_is_io_error(self, tmp_path):
         assert main(["mesh-info", "--mesh", str(tmp_path / "nope.obj")]) == 1
+
+
+class TestParserReuse:
+    def test_one_process_matches_fresh_processes(self, tmp_path, capsys):
+        # the parser is built once per process: an accepted command, a
+        # rejected argv and a command with repeated options give the same
+        # output and exit code in sequence as each does in a new process
+        cal_path = write_calibration(tmp_path)
+        target = write_series(tmp_path / "target.csv", 1300.0)
+        s800 = write_series(tmp_path / "c800.csv", 800.0)
+        s2000 = write_series(tmp_path / "c2000.csv", 2000.0)
+        out_path = tmp_path / "cal_again.json"
+        argvs = [
+            ["estimate", "--series", str(target), "--calibration", str(cal_path),
+             "--radius", str(R), "--thickness", str(H), "--wrinkles", "8"],
+            ["estimate", "--series", str(target), "--thickness", "thin"],
+            ["calibrate", "--series", str(s800), "--pressure", "800",
+             "--series", str(s2000), "--pressure", "2000",
+             "--radius", str(R), "--thickness", str(H), "--out", str(out_path)],
+        ]
+        capsys.readouterr()
+        in_process = []
+        for argv in argvs + argvs[2:]:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            written = out_path.read_text() if out_path.exists() else None
+            in_process.append((code, out, err, written))
+        assert [run[0] for run in in_process] == [0, 2, 0, 0]
+        # the repeated --series of the second calibrate did not add to the first
+        assert in_process[3] == in_process[2]
+        assert len(json.loads(in_process[3][3])["records"]) == 2
+        for argv, run in zip(argvs, in_process):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "inflatekit.cli", *argv],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert (fresh.returncode, fresh.stdout, fresh.stderr) == run[:3]

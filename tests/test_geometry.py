@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from inflatekit import geometry
 from inflatekit.errors import (
@@ -331,6 +332,55 @@ class TestArrayRewritesMatchLoops:
         expected = tuple(sorted(reference_patch_distances(dup, 0, 0.8)))
         assert n in expected
         assert select_patch(dup, 0, 0.8).vertex_ids == expected
+
+    def test_symmetric_graph_gives_the_undirected_distances(self):
+        # the graph is stored in both directions and searched directed; the
+        # distances equal an undirected search of the one-direction graph
+        mesh = icosphere(radius=1.0, subdivisions=2)
+        k, n = max(reference_patch_distances(mesh, 0, 0.8)), mesh.n_vertices
+        dup = TriMesh(
+            vertices=np.vstack([mesh.vertices, mesh.vertices[k]]),
+            faces=np.vstack([mesh.faces, [[k, n, k]]]),
+        )
+        for mesh in (noisy_icosphere(2, 0), noisy_icosphere(3, 1), dup):
+            graph = mesh._edge_graph
+            upper = graph.tocoo()
+            keep = upper.row < upper.col
+            one_way = csr_matrix(
+                (upper.data[keep], (upper.row[keep], upper.col[keep])), shape=graph.shape
+            )
+            rng = np.random.default_rng(mesh.n_vertices)
+            seeds = [0] + rng.choice(mesh.n_vertices, size=3, replace=False).tolist()
+            for seed in seeds:
+                for radius in (0.3, 0.8, 1.4):
+                    want = dijkstra(one_way, directed=False, indices=seed, limit=radius)
+                    got = dijkstra(graph, directed=True, indices=seed, limit=radius)
+                    assert np.array_equal(got, want)
+        # the zero-length edge of the coincident vertices is kept both ways
+        coo = graph.tocoo()
+        stored = set(zip(coo.row.tolist(), coo.col.tolist()))
+        assert {(k, n), (n, k)} <= stored and graph[k, n] == 0.0
+        assert (graph != graph.T).nnz == 0
+
+    def test_boundary_edges_are_found_once(self, monkeypatch):
+        calls = []
+        directed_edges = geometry._directed_edges
+
+        def counted(faces):
+            calls.append(len(faces))
+            return directed_edges(faces)
+
+        monkeypatch.setattr(geometry, "_directed_edges", counted)
+        box = box_mesh()
+        for mesh in (TriMesh(vertices=box.vertices, faces=box.faces[1:]), box):
+            expected = reference_boundary_edges(mesh.faces)
+            first = mesh.boundary_edges()
+            assert first == expected
+            first.append((0, 0))
+            assert mesh.boundary_edges() == expected
+            assert mesh.boundary_edges() is not mesh.boundary_edges()
+            assert mesh.is_watertight == (not expected)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize(
         "mesh",
