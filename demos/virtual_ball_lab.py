@@ -20,7 +20,7 @@ from inflatekit import (
     icosphere,
     indent_virtual,
     init_sim,
-    step,
+    run,
 )
 
 MATERIAL = MaterialSpec(E=2.3e6, nu=0.4, h=1e-3, density=1000.0, Pg0=1300.0)
@@ -31,18 +31,23 @@ def bounce():
     mesh = icosphere(radius=0.13, subdivisions=2)
     mesh = mesh.with_vertices(mesh.vertices + np.array([0.0, 0.0, h0 + 0.13]))
     state = init_sim(mesh, MATERIAL)
+    t_fall = math.sqrt(2 * h0 / 9.81)
     config = ScenarioConfig(
         planes=(Plane(point=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0)),),
         restitution=0.75,
+        duration=2.2 * t_fall,
     )
-    t_fall = math.sqrt(2 * h0 / 9.81)
     peak = 0.0
-    for _ in range(int(2.2 * t_fall / config.dt)):
-        state = step(state, config)
-        if state.time > 1.1 * t_fall:
-            peak = max(peak, float(state.vertices[:, 2].min()))
+
+    def track_peak(_step, s):
+        nonlocal peak
+        if s.time > 1.1 * t_fall:
+            peak = max(peak, float(s.vertices[:, 2].min()))
+
+    _final, report = run(state, config, track_peak)
     print(f"dropped from {h0} m, rebounded to {peak:.3f} m "
-          f"(restitution^2 * h0 = {0.75**2 * h0:.3f} m)")
+          f"(restitution^2 * h0 = {0.75**2 * h0:.3f} m) "
+          f"after {report.contact_episodes[0]} floor contact episode(s)")
 
 
 def poke():

@@ -32,7 +32,9 @@ from .errors import (
 from .measurement import IndentationSeries
 from .shell import DEFAULT_NU, WRINKLE_FACTOR
 
-# Wrinkling onset depth magnitude in units of l_p^2/R (dimensionless 2.52)
+# Wrinkling onset depth magnitude in units of l_p^2/R: the paper's rounded
+# value.  shell.critical_depth solves the membrane equations to 2.5306 at
+# nu = 0.4, 0.4% deeper.
 CRITICAL_DEPTH_FACTOR = 2.52
 
 # r2 below this suggests the linear force-depth model is a poor fit

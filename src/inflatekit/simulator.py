@@ -156,19 +156,27 @@ def _equibiaxial_stretch(material: MaterialSpec, tension: float) -> float:
         )
         return material.h * nominal
 
-    hi = 10.0
+    lo, hi = 1.0 + 1e-12, 10.0
     if current_tension(hi) < tension:
         raise ValidationError(
             "membrane cannot carry the initial pressure: required tension "
             f"{tension:.3g} N/m exceeds the material's capacity"
         )
-    return brentq(lambda lam: current_tension(lam) - tension, 1.0 + 1e-12, hi)
+    if current_tension(lo) >= tension:
+        # so stiff that the stretch lies within 1e-12 of 1, where the
+        # tension is zero
+        lo, hi = 1.0, lo
+    return brentq(lambda lam: current_tension(lam) - tension, lo, hi)
 
 
 class _MembraneModel:
     """Precomputed discretization shared by all states of one simulation.
 
-    Holds only constants, so one model may serve several threads at once.
+    Holds constants and one mutable attribute, _last_constants: the step
+    constants of the last config stepped, cached by _constants_for.  The
+    cache is swapped as one (key, constants) tuple, so a thread reading it
+    while another steps always sees a key with its own constants, and one
+    model may serve several threads at once.
     """
 
     def __init__(self, mesh: TriMesh, material: MaterialSpec):
@@ -244,6 +252,15 @@ class _MembraneModel:
         # constant offset absorbing the residual imbalance at init
         # (zero for a perfect sphere); (n, 3) view of a (3, n) array
         self.pressure_offset = -self._forces(x.T, material.Pg0, 0)[0].T
+        if not (
+            self.masses.min() > 0
+            and math.isfinite(self.total_mass)
+            and np.isfinite(self._k_mu_g).all()
+            and np.isfinite(self.pressure_offset).all()
+        ):
+            raise ValidationError(
+                "material gives zero masses or non-finite membrane forces on this mesh"
+            )
         # step constants of the last config stepped: (key, constants)
         self._last_constants = (None, None)
 
@@ -442,68 +459,91 @@ def _gas_pressure(model: _MembraneModel, volume: float) -> float:
     return mat.Pg0
 
 
-def step(state: SimState, config: ScenarioConfig) -> SimState:
-    """Advance one semi-implicit Euler step of size config.dt.
+def _advance(state: SimState, config: ScenarioConfig, n_steps: int, observe=None, every=1):
+    """Advance n_steps semi-implicit Euler steps of size config.dt.
 
-    Forces are taken at the gas pressure of the state's own volume; a
-    volume at or below zero raises SimulationInstabilityError.
-    Deterministic: identical inputs produce bit-identical successors.
+    The one integrator: positions, velocities, time and contact state stay
+    local (3, n) arrays and values between steps, and a SimState is built
+    only for observe(k, state), called after step k = 1, every every-th
+    step after it and step n_steps, and for the result.  Forces are taken
+    at the gas pressure of each step's own volume; a volume at or below
+    zero, a collapsed element or a non-finite state raises
+    SimulationInstabilityError naming the frame.  Returns the final state
+    and the contact episodes entered per plane.
     """
     model = state._model
     dt = config.dt
-    frame = int(round(state.time / dt))
     dt_m, load, normals, offsets = model._constants_for(config)
+    masses, total_mass = model.masses, model.total_mass
+    damping_m = config.damping * masses if config.damping > 0 else None
     # (3, n) views of the Fortran-ordered (n, 3) state
     x = state.vertices.T
     v = state.velocities.T
+    time = state.time
+    contact = list(state.contact_state)
+    if len(contact) != len(normals):
+        contact = [(False, 0.0)] * len(normals)
+    episodes = [0] * len(normals)
 
-    forces = model._forces(x, None, frame)[0]
-    forces += load
-    if config.damping > 0:
-        forces -= config.damping * model.masses * v
-    v = v + dt_m * forces
+    for k in range(1, n_steps + 1):
+        frame = int(round(time / dt))
+        forces = model._forces(x, None, frame)[0]
+        forces += load
+        if damping_m is not None:
+            forces -= damping_m * v
+        v = v + dt_m * forces
 
-    # frictionless plane contacts with per-episode restitution
-    prev = state.contact_state
-    if len(prev) != len(config.planes):
-        prev = ((False, 0.0),) * len(config.planes)
-    new_contact = []
-    com_v = v @ model.masses / model.total_mass
-    x_new = x + dt * v
-    for k, n_hat in enumerate(normals):
-        dist = n_hat @ x_new - offsets[k]
-        touching = dist < CONTACT_TOL
-        was_in, v_in = prev[k]
-        if touching.any():
-            if not was_in:
-                # entering contact: record incoming COM normal speed
-                v_in = max(0.0, -float(com_v @ n_hat))
-            # project penetrating vertices; remove inward normal velocity
-            pen = np.flatnonzero(dist < 0)
-            if pen.size:
-                x_new[:, pen] -= n_hat[:, None] * dist[pen]
-                vn = n_hat @ v[:, pen]
-                inward = vn < 0
-                v[:, pen[inward]] -= n_hat[:, None] * vn[inward]
-            new_contact.append((True, v_in))
-        else:
-            if was_in and v_in > 0.0:
-                # separation: set outgoing COM normal speed to e * v_in.  An
-                # episode entered without approach speed (a wobbling vertex
-                # touching down after lift-off) has no bounce to restore.
-                out = float(com_v @ n_hat)
-                shift = config.restitution * v_in - out
-                v = v + shift * n_hat[:, None]
-                x_new = x + dt * v
-            new_contact.append((False, 0.0))
+        # frictionless plane contacts with per-episode restitution
+        com_v = v @ masses / total_mass
+        x_new = x + dt * v
+        for j, n_hat in enumerate(normals):
+            dist = n_hat @ x_new - offsets[j]
+            was_in, v_in = contact[j]
+            if dist.min() < CONTACT_TOL:  # some vertex touches the plane
+                if not was_in:
+                    # entering contact: record incoming COM normal speed
+                    v_in = max(0.0, -float(com_v @ n_hat))
+                    episodes[j] += 1
+                # project penetrating vertices; remove inward normal velocity
+                pen = np.flatnonzero(dist < 0)
+                if pen.size:
+                    x_new[:, pen] -= n_hat[:, None] * dist[pen]
+                    vn = n_hat @ v[:, pen]
+                    inward = vn < 0
+                    v[:, pen[inward]] -= n_hat[:, None] * vn[inward]
+                contact[j] = (True, v_in)
+            else:
+                if was_in and v_in > 0.0:
+                    # separation: set outgoing COM normal speed to e * v_in.  An
+                    # episode entered without approach speed (a wobbling vertex
+                    # touching down after lift-off) has no bounce to restore.
+                    out = float(com_v @ n_hat)
+                    shift = config.restitution * v_in - out
+                    v = v + shift * n_hat[:, None]
+                    x_new = x + dt * v
+                contact[j] = (False, 0.0)
 
-    if not np.isfinite(x_new).all() or not np.isfinite(v).all():
-        raise SimulationInstabilityError(
-            "non-finite state after step", frame=frame + 1
-        )
+        if not np.isfinite(x_new).all() or not np.isfinite(v).all():
+            raise SimulationInstabilityError(
+                "non-finite state after step", frame=frame + 1
+            )
+        x = x_new
+        time = time + dt
+        if observe is not None and ((k - 1) % every == 0 or k == n_steps):
+            observe(k, SimState(vertices=x.T, velocities=v.T, time=time,
+                                contact_state=tuple(contact), _model=model))
 
-    return SimState(vertices=x_new.T, velocities=v.T, time=state.time + dt,
-                    contact_state=tuple(new_contact), _model=model)
+    final = SimState(vertices=x.T, velocities=v.T, time=time,
+                     contact_state=tuple(contact), _model=model)
+    return final, tuple(episodes)
+
+
+def step(state: SimState, config: ScenarioConfig) -> SimState:
+    """Advance one semi-implicit Euler step of size config.dt (see _advance).
+
+    Deterministic: identical inputs produce bit-identical successors.
+    """
+    return _advance(state, config, 1)[0]
 
 
 # a run of more steps than this would not end in any useful time
@@ -524,11 +564,29 @@ def step_count(config: ScenarioConfig) -> int:
     return int(round(ratio))
 
 
-def run(state: SimState, config: ScenarioConfig) -> SimState:
-    """Step for config.duration seconds (see step_count)."""
-    for _ in range(step_count(config)):
-        state = step(state, config)
-    return state
+@dataclass(frozen=True)
+class RunReport:
+    """What a run did: the steps taken and, per plane of the config, the
+    contact episodes it entered (steps touching the plane after one that
+    did not)."""
+
+    steps: int
+    contact_episodes: tuple
+
+
+def run(state: SimState, config: ScenarioConfig, observe=None, every: int = 1):
+    """Step for config.duration seconds (see step_count).
+
+    Returns (final SimState, RunReport).  observe(k, state), if given, is
+    called with the state after step k for k = 1, every every-th step after
+    it (k - 1 divisible by every) and the last step.  Bit-identical to
+    chaining step over the same number of steps.
+    """
+    if not (isinstance(every, int) and every >= 1):
+        raise ValidationError(f"every must be an integer >= 1, got {every!r}")
+    n_steps = step_count(config)
+    final, episodes = _advance(state, config, n_steps, observe, every)
+    return final, RunReport(steps=n_steps, contact_episodes=episodes)
 
 
 RELAX_FORCE_TOL = 1e-4  # N, max net vertex force at quasi-static equilibrium

@@ -627,6 +627,155 @@ class TestSolveShell:
         assert "error:" in capsys.readouterr().err
 
 
+def _mostly(ordinary, other, one_in=8):
+    """ordinary, or other in about one draw in one_in, so that most drawn
+    scenarios get past the parser and run."""
+    # drawn integers favour the ends of their range: other takes a middle one
+    return st.integers(1, one_in).flatmap(lambda i: other if i == one_in // 2 else ordinary)
+
+
+# a scenario number: ordinary for its key, else any JSON number (NaN, inf,
+# zero, negative, huge ints) or other JSON value
+def _scenario_number(ordinary):
+    return _mostly(ordinary, NUMBERS | JSON_VALUES)
+
+
+def _vector(ordinary):
+    return _mostly(
+        st.lists(ordinary, min_size=3, max_size=3),
+        st.lists(NUMBERS, min_size=3, max_size=3) | JSON_VALUES,
+    )
+
+
+_MATERIAL_KEYS = ("E", "nu", "h", "density", "Pg0")
+SCENARIO_MATERIAL = _mostly(
+    st.fixed_dictionaries(
+        {
+            "E": _scenario_number(st.floats(1e6, 1e8)),
+            "nu": _scenario_number(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)),
+            "h": _scenario_number(st.floats(5e-4, 5e-3)),
+            "density": _scenario_number(st.floats(100.0, 1e4)),
+            "Pg0": _scenario_number(st.floats(100.0, 3000.0)),
+        },
+        optional={
+            "gas_model": _mostly(
+                st.sampled_from(["constant_pressure", "isothermal"]),
+                st.just("adiabatic") | JSON_VALUES,
+            )
+        },
+    ),
+    # keys missing or unknown, or not an object
+    st.dictionaries(st.sampled_from([*_MATERIAL_KEYS, "colour"]), NUMBERS) | JSON_VALUES,
+)
+# none, one or two planes through or near the R = 0.13 m ball centred at
+# the origin (a drawn size, as drawn lists are mostly empty)
+SCENARIO_PLANE = _mostly(
+    st.fixed_dictionaries(
+        {
+            "point": _vector(st.floats(-0.2, 0.2)),
+            # drawn floats favour 0.0; a zero normal is refused, so keep off it
+            "normal": _vector(st.floats(0.05, 1.0) | st.floats(-1.0, -0.05)),
+        }
+    ),
+    st.dictionaries(st.sampled_from(["point", "normal", "mu"]), JSON_VALUES) | JSON_VALUES,
+)
+SCENARIO_PLANES = _mostly(
+    st.integers(0, 2).flatmap(lambda n: st.lists(SCENARIO_PLANE, min_size=n, max_size=n)),
+    JSON_VALUES,
+)
+# few and shallow levels: each level is an energy minimisation, and
+# the level count has no cap
+SCENARIO_INDENT = _mostly(
+    st.fixed_dictionaries(
+        {
+            "vertex": _mostly(st.integers(0, 41), st.integers(-(10**30), 10**30) | JSON_VALUES),
+            "target_depth": _scenario_number(st.floats(1e-3, 0.03)),
+        },
+        optional={
+            "levels": _mostly(st.integers(3, 4), st.integers(-1, 2) | st.floats() | JSON_SCALARS),
+            "axis": _vector(st.floats(-1.0, 1.0)),
+            "speed": JSON_VALUES,
+        },
+    ),
+    st.dictionaries(st.sampled_from(["vertex", "target_depth", "lvels"]), JSON_VALUES) | JSON_VALUES,
+)
+SCENARIO = _mostly(
+    st.tuples(
+        st.fixed_dictionaries(
+            {"material": SCENARIO_MATERIAL, "planes": SCENARIO_PLANES},
+            optional={
+                "gravity": _vector(st.floats(-20.0, 20.0)),
+                "restitution": _scenario_number(st.floats(0.0, 1.0, exclude_min=True)),
+                "dt": _scenario_number(st.floats(1e-5, 1e-3)),
+                "duration": _scenario_number(st.floats(0.0, 5e-3)),
+                "damping": _scenario_number(st.floats(0.0, 10.0)),
+            },
+        ),
+        # an indent block in about one scenario in four
+        _mostly(st.none(), SCENARIO_INDENT, one_in=4),
+    ).map(lambda drawn: drawn[0] if drawn[1] is None else {**drawn[0], "indent": drawn[1]}),
+    # material missing, an unknown key, or not an object
+    st.dictionaries(st.sampled_from(["material", "gravity", "duraton"]), JSON_VALUES) | JSON_VALUES,
+)
+MAX_FUZZ_STEPS = 50
+
+
+def _finite_number(value):
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def _short_run(data):
+    """data with a numeric duration cut to at most MAX_FUZZ_STEPS steps of dt
+    (both at their defaults when absent)."""
+    if isinstance(data, dict):
+        dt, duration = data.get("dt", 1e-4), data.get("duration", 1.0)
+        if _finite_number(dt) and _finite_number(duration) and 0 < MAX_FUZZ_STEPS * dt < duration:
+            return {**data, "duration": MAX_FUZZ_STEPS * dt}
+    return data
+
+
+def _material(**values):
+    return {"E": 1e5, "nu": 0.25, "h": 0.0078125, "density": 100.0, "Pg0": 100.0, **values}
+
+
+@given(data=SCENARIO.map(_short_run))
+# a normal whose norm overflows
+@example(data={"material": _material(), "duration": 0.005,
+               "planes": [{"point": [0, 0, 0], "normal": [0, 0, 1.3407807929942597e154]}]})
+# a finite state whose kinetic energy overflows
+@example(data={"material": _material(density=3193.0), "duration": 0.005,
+               "gravity": [0, 0, 6.045890040829583e157]})
+# so stiff that the prestretch lies within 1e-12 of 1
+@example(data={"material": _material(E=5.964296096383e14), "duration": 0.005})
+# masses that underflow to zero, membrane forces that overflow at init
+@example(data={"material": _material(density=5e-324, Pg0=1.0), "duration": 0.005})
+@example(data={"material": _material(h=4.232079652783969e301, Pg0=1.0), "duration": 0.005})
+# a step far above the stable one: the state blows up
+@example(data={"material": _material(E=74355273.75, nu=1e-4, h=1e-4, density=2), "duration": 0.005})
+# a load so heavy that the minimiser's trial points overflow
+@example(data={"material": _material(E=169126.0, nu=0.125, density=2.2943298603487948e16),
+               "indent": {"vertex": 0, "target_depth": 0.015625}})
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_any_scenario_file_exits_cleanly(tmp_path, capsys, data):
+    # one 42-vertex ball for every example
+    mesh_path = tmp_path / "ball.obj"
+    if not mesh_path.exists():
+        save_mesh(icosphere(radius=R, subdivisions=1), mesh_path)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    code = main(
+        ["simulate", "--scenario", str(scenario), "--mesh", str(mesh_path), "--out", str(tmp_path / "out")]
+    )
+    assert code in (0, 2, 3)
+    _assert_clean_exit(code, None, capsys.readouterr().err)
+
+
 class TestSimulate:
     def scenario(self, tmp_path, extra=None):
         data = {

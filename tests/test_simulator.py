@@ -166,7 +166,7 @@ class TestDynamics:
         state = ball_state()
         z0 = state.centroid[2]
         t = 0.5
-        final = run(state, ScenarioConfig(duration=t))
+        final, _ = run(state, ScenarioConfig(duration=t))
         drop = z0 - final.centroid[2]
         assert drop == pytest.approx(0.5 * 9.81 * t**2, rel=1e-3)
         # energy bookkeeping: kinetic gain equals potential loss within 1%
@@ -186,8 +186,8 @@ class TestDynamics:
             run(ball_state(subdivisions=1), ScenarioConfig(duration=1.0, dt=dt))
 
     def test_deterministic(self):
-        a = run(ball_state(), ScenarioConfig(duration=0.05))
-        b = run(ball_state(), ScenarioConfig(duration=0.05))
+        a, _ = run(ball_state(), ScenarioConfig(duration=0.05))
+        b, _ = run(ball_state(), ScenarioConfig(duration=0.05))
         np.testing.assert_array_equal(a.mesh.vertices, b.mesh.vertices)
         np.testing.assert_array_equal(a.velocities, b.velocities)
 
@@ -255,7 +255,7 @@ class TestDynamics:
             step(inverted, NO_GRAVITY)
 
     def test_constant_pressure_model_holds_pg(self):
-        state = run(ball_state(), ScenarioConfig(duration=0.05))
+        state, _ = run(ball_state(), ScenarioConfig(duration=0.05))
         assert state.Pg == 1300.0
 
     def test_isothermal_invariant(self):
@@ -289,28 +289,29 @@ class TestBounce:
         e = 0.75
         h0 = 0.5
         state = ball_state(center=(0.0, 0.0, h0 + 0.13))
+        t_fall = math.sqrt(2.0 * h0 / 9.81)
         config = ScenarioConfig(
             planes=(Plane(point=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0)),),
             restitution=e,
             dt=1e-4,
-            duration=1e-4,
+            duration=2.2 * t_fall,
         )
-        t_fall = math.sqrt(2.0 * h0 / 9.81)
-        n_steps = int(round(2.2 * t_fall / config.dt))
         peak = 0.0
         prev_z = state.centroid[2]
         falling_after_bounce = False
-        for i in range(n_steps):
-            state = step(state, config)
-            z = state.centroid[2]
-            if state.time > 1.1 * t_fall:
-                peak = max(peak, state.mesh.vertices[:, 2].min())
+
+        def observe(_k, s):
+            nonlocal peak, prev_z, falling_after_bounce
+            z = s.centroid[2]
+            if s.time > 1.1 * t_fall:
+                peak = max(peak, float(s.vertices[:, 2].min()))
                 if z < prev_z - 1e-6 and peak > 0.01:
                     falling_after_bounce = True
             prev_z = z
+
+        run(state, config, observe)
         assert falling_after_bounce
         assert peak == pytest.approx(e**2 * h0, rel=0.05)
-
 
     def test_recontact_after_lift_off_keeps_the_rebound(self):
         # 642 vertices, isothermal gas: after lift-off a wobbling vertex
@@ -321,21 +322,104 @@ class TestBounce:
             E=2.3e6, nu=0.4, h=1e-3, density=1000.0, Pg0=1300.0, gas_model="isothermal"
         )
         state = ball_state(subdivisions=3, material=material, center=(0.0, 0.0, h0 + 0.13))
+        t_fall = math.sqrt(2.0 * h0 / 9.81)
         config = ScenarioConfig(
             planes=(Plane(point=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0)),),
             restitution=e,
+            duration=2.2 * t_fall,
         )
-        t_fall = math.sqrt(2.0 * h0 / 9.81)
-        peak, episodes, touching = 0.0, 0, False
-        for _ in range(int(round(2.2 * t_fall / config.dt))):
-            state = step(state, config)
-            now = state.contact_state[0][0]
-            episodes += now and not touching
-            touching = now
-            if state.time > 1.1 * t_fall:
-                peak = max(peak, float(state.mesh.vertices[:, 2].min()))
-        assert episodes == 2
+        peak = 0.0
+
+        def observe(_k, s):
+            nonlocal peak
+            if s.time > 1.1 * t_fall:
+                peak = max(peak, float(s.vertices[:, 2].min()))
+
+        _final, report = run(state, config, observe)
+        assert report.contact_episodes == (2,)
         assert peak == pytest.approx(e**2 * h0, rel=0.05)
+
+
+class TestRun:
+    # 162 vertices pushed into the floor, lifted off by an upward load and
+    # carried into a ceiling: a floor contact, a separation and a ceiling
+    # contact held to the end, under viscous damping
+    CONFIG = ScenarioConfig(
+        gravity=(0.0, 0.0, 1000.0),
+        planes=(
+            Plane(point=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0)),
+            Plane(point=(0.0, 0.0, 0.28), normal=(0.0, 0.0, -1.0)),
+        ),
+        restitution=0.75,
+        damping=5.0,
+        duration=0.03,
+    )
+
+    def start(self):
+        state = ball_state(center=(0.0, 0.0, 0.13 + 1e-5))
+        return replace(state, velocities=np.tile([0.0, 0.0, -0.3], (len(state.vertices), 1)))
+
+    def step_chain(self, state, n_steps, config=CONFIG):
+        states = []
+        for _ in range(n_steps):
+            state = step(state, config)
+            states.append(state)
+        return states
+
+    def test_final_state_equals_the_step_chain(self):
+        chain = self.step_chain(self.start(), 300)
+        final, report = run(self.start(), self.CONFIG)
+        assert report.steps == 300
+        np.testing.assert_array_equal(final.vertices, chain[-1].vertices)
+        np.testing.assert_array_equal(final.velocities, chain[-1].velocities)
+        assert final.contact_state == chain[-1].contact_state
+        assert final.time == chain[-1].time
+        # the scenario holds what its comment promises
+        floor = [s.contact_state[0][0] for s in chain]
+        assert floor[0] and not floor[-1]
+        assert chain[-1].contact_state[1][0]
+
+    def test_contact_episodes_match_a_hand_count(self):
+        episodes, touching = [0, 0], [False, False]
+        for state in self.step_chain(self.start(), 300):
+            for k, (now, _v_in) in enumerate(state.contact_state):
+                episodes[k] += now and not touching[k]
+                touching[k] = now
+        assert episodes == [1, 1]
+        assert run(self.start(), self.CONFIG)[1].contact_episodes == tuple(episodes)
+
+    def test_observer_sees_the_simulate_sampling_steps(self):
+        # cmd_simulate sampled after step i (0-based) when i % every == 0
+        # or i was the last step
+        config = replace(self.CONFIG, duration=30 * self.CONFIG.dt)
+        chain = self.step_chain(self.start(), 30)
+        seen = []
+
+        def observe(k, state):
+            seen.append(k)
+            np.testing.assert_array_equal(state.vertices, chain[k - 1].vertices)
+            np.testing.assert_array_equal(state.velocities, chain[k - 1].velocities)
+            assert state.contact_state == chain[k - 1].contact_state
+
+        _final, report = run(self.start(), config, observe, every=7)
+        assert seen == [i + 1 for i in range(30) if i % 7 == 0 or i == 29] == [1, 8, 15, 22, 29, 30]
+        assert report.steps == 30
+        for every in (0, -1, 1.5):
+            with pytest.raises(ValidationError, match="every"):
+                run(self.start(), config, observe, every=every)
+
+    def test_collapse_raises_the_step_chain_error(self):
+        # a fast radial squeeze collapses the enclosed volume a few steps in
+        state = ball_state(subdivisions=1)
+        state = replace(state, velocities=-2000.0 * state.vertices)
+        config = replace(NO_GRAVITY, duration=0.01)
+        with pytest.raises(SimulationInstabilityError) as from_chain:
+            self.step_chain(state, step_count(config), config)
+        with pytest.raises(SimulationInstabilityError) as from_run:
+            run(state, config)
+        assert str(from_run.value) == str(from_chain.value) == "enclosed volume collapsed"
+        assert from_run.value.frame == from_chain.value.frame == 7
+        assert from_run.value.face_id == from_chain.value.face_id
 
 
 class TestIndentation:
