@@ -49,7 +49,6 @@ from .measurement import (
     serialize_series,
 )
 from .shell import (
-    CapProfile,
     ShellParams,
     ShellSolution,
     SolverOptions,

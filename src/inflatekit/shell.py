@@ -67,6 +67,9 @@ ELASTIC_LENGTH_SPACING = 1.2
 GRID_SIZE = 400
 RHO_INF = 30.0
 RHO0 = 1e-3 * RHO_INF  # inner regularization radius replacing the point-load delta
+# deepest |W0| solve_indentation takes: the cap junction sqrt(|W0|) stays in the
+# inner third of the domain (on a 2-vCPU Xeon W0 = -256 takes 89 s, -1000 over 120 s)
+MAX_DEPTH = (RHO_INF / 3.0) ** 2
 BVP_TOL = 1e-6
 STEP_TOL = 1e-3
 MAX_NODES = 200_000  # caps each refined mesh
@@ -138,10 +141,8 @@ class ShellSolution:
     W: np.ndarray
     Psi: np.ndarray
     hoop_stress: np.ndarray
-    radial_stress: np.ndarray
     W0: float
     force: float  # dimensionless, F / (Pg * l_p^2)
-    annulus: tuple[float, float] | None = None
     bvp_solves: int = 0
     bvp_iterations: int = 0
     max_nodes: int = 0
@@ -157,11 +158,17 @@ class ShellSolution:
         tail = self.force / (2.0 * math.pi * rho_inf)
         if abs(self.Psi[-1] - (rho_inf / 2.0 - tail)) >= 1e-3 * rho_inf:
             raise ValidationError("far field Psi(rho_inf) deviates from rho_inf/2 - c/rho_inf")
-        if self.annulus is not None:
-            lo, hi = self.annulus
-            inside = (rho >= lo) & (rho <= hi)
-            if not np.any(self.hoop_stress[inside] < 0):
-                raise ValidationError("annulus interval contains no negative hoop stress")
+
+    @property
+    def radial_stress(self) -> np.ndarray:
+        """Psi / rho."""
+        return self.Psi / self.rho
+
+    @property
+    def annulus(self) -> tuple[float, float] | None:
+        """First and last grid radius of negative hoop stress, or None."""
+        neg = np.flatnonzero(self.hoop_stress < 0)
+        return (float(self.rho[neg[0]]), float(self.rho[neg[-1]])) if neg.size else None
 
     def force_newtons(self, params: ShellParams) -> float:
         """Dimensional point force for the given shell parameters."""
@@ -169,24 +176,6 @@ class ShellSolution:
 
     def min_hoop_stress(self) -> float:
         return float(np.min(self.hoop_stress))
-
-
-@dataclass(frozen=True)
-class CapProfile:
-    """Inverted-spherical-cap approximation, valid for W0 << -1.
-
-    In the membrane limit its uniform-grid RMS deviation from the solved
-    profile over [rho0, sqrt(|W0|)], normalised by |W0|, is about 30% at
-    W0 = -2, 25% at -8 and 17% at -32; it drops below 15% only beyond
-    W0 ~ -49.
-    """
-
-    W0: float
-
-    def __call__(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        inside = rho <= math.sqrt(abs(self.W0))
-        return np.where(inside, self.W0 + rho**2, 0.0)
 
 
 def _check_depth(W0: float) -> None:
@@ -213,7 +202,7 @@ def _membrane_rhs(rho, y, p):
     return np.vstack([dpsi, d2psi, d3psi, g])
 
 
-def _membrane_bc_factory(W0, nu, rho0, rho_inf):
+def _membrane_bc(W0, nu):
     # The far field approaches the unindented state with the algebraic tail
     # Psi = rho/2 - c/rho forced by the point load; truncating without the
     # tail would inject an O(c) error growing inward as 1/rho.
@@ -223,14 +212,14 @@ def _membrane_bc_factory(W0, nu, rho0, rho_inf):
     def bc(ya, yb, p):
         c = p[0]
         psi0 = ya[0]
-        w_slope0 = rho0 - (rho0**2 / 2.0 - c) / psi0
+        w_slope0 = RHO0 - (RHO0**2 / 2.0 - c) / psi0
         return np.array(
             [
-                rho0 * ya[1] - nu * ya[0],  # regularity at the load point
-                ya[3] - 1.5 * rho0 * w_slope0 - W0,  # prescribed apex depth
+                RHO0 * ya[1] - nu * ya[0],  # regularity at the load point
+                ya[3] - 1.5 * RHO0 * w_slope0 - W0,  # prescribed apex depth
                 yb[3],  # W -> 0
-                yb[0] - (rho_inf / 2.0 - c / rho_inf),
-                yb[1] - (0.5 + c / rho_inf**2),
+                yb[0] - (RHO_INF / 2.0 - c / RHO_INF),
+                yb[1] - (0.5 + c / RHO_INF**2),
             ]
         )
 
@@ -258,17 +247,17 @@ def _full_rhs_factory(tau):
     return rhs
 
 
-def _full_bc_factory(W0, nu, rho0, rho_inf):
+def _full_bc(W0, nu):
     def bc(ya, yb, p):
         return np.array(
             [
                 ya[0] - W0,
                 ya[1],  # clamped slope under the indenter
-                rho0 * ya[4] - nu * ya[3],
+                RHO0 * ya[4] - nu * ya[3],
                 yb[0],
                 yb[1],
-                yb[3] - (rho_inf / 2.0 - p[0] / rho_inf),
-                yb[4] - (0.5 + p[0] / rho_inf**2),
+                yb[3] - (RHO_INF / 2.0 - p[0] / RHO_INF),
+                yb[4] - (0.5 + p[0] / RHO_INF**2),
             ]
         )
 
@@ -291,18 +280,19 @@ def _base_grid(membrane: bool, tau: float) -> np.ndarray:
 
 
 class _ContinuationState:
-    """Carries the last converged profile, on the base grid, between depth steps."""
+    """Carries the last converged profile, on the base grid, between depth
+    steps.  Picks the equation set once: rhs, bc(W0, nu), rows of W, Psi, Psi'."""
 
     def __init__(self, membrane: bool, nu: float, tau: float):
-        self.membrane = membrane
         self.nu = nu
-        self.tau = tau
         self.W0 = 0.0
         rho = self.x = _base_grid(membrane, tau)
         zeros = np.zeros_like(rho)
         if membrane:
+            self.rhs, self.bc, self.rows = _membrane_rhs, _membrane_bc, (3, 0, 1)
             self.y = np.vstack([rho / 2.0, np.full_like(rho, 0.5), zeros, zeros])
         else:
+            self.rhs, self.bc, self.rows = _full_rhs_factory(tau), _full_bc, (0, 3, 4)
             self.y = np.vstack([zeros, zeros, zeros, rho / 2.0, np.full_like(rho, 0.5), zeros])
         self.p = np.array([0.0])
         self.sol = None
@@ -312,14 +302,7 @@ class _ContinuationState:
     def advance(self, W0_target: float, tol: float) -> None:
         """One collocation solve at W0_target from the stored guess, to the
         relative residual tol."""
-        if self.membrane:
-            rhs = _membrane_rhs
-            bc = _membrane_bc_factory(W0_target, self.nu, RHO0, RHO_INF)
-            w_row = 3
-        else:
-            rhs = _full_rhs_factory(self.tau)
-            bc = _full_bc_factory(W0_target, self.nu, RHO0, RHO_INF)
-            w_row = 0
+        w_row = self.rows[0]
         x = self.x
         y = self.y.copy()
         # shift the depth guess so the inner BC starts near-satisfied
@@ -332,7 +315,8 @@ class _ContinuationState:
         if p[0] == 0.0 and W0_target != 0.0:
             p[0] = abs(W0_target) / 2.0  # cap-theory force scale
         start = time.perf_counter()
-        sol = solve_bvp(rhs, bc, x, y, p=p, tol=tol, max_nodes=MAX_NODES)
+        bc = self.bc(W0_target, self.nu)
+        sol = solve_bvp(self.rhs, bc, x, y, p=p, tol=tol, max_nodes=MAX_NODES)
         report = {
             "W0": W0_target,
             "tol": tol,
@@ -381,21 +365,14 @@ class _ContinuationState:
         state W = 0, Psi = rho/2 on the base grid."""
         sol = self.sol
         rho, y, p = (self.x, self.y, self.p) if sol is None else (sol.x, sol.y, sol.p)
-        if self.membrane:
-            psi, dpsi, w = y[0], y[1], y[3]
-        else:
-            w, psi, dpsi = y[0], y[3], y[4]
-        neg = np.where(dpsi < 0)[0]  # hoop stress is Psi'
-        annulus = (float(rho[neg[0]]), float(rho[neg[-1]])) if neg.size else None
+        w, psi, dpsi = (y[row] for row in self.rows)
         return ShellSolution(
             rho=rho,
             W=w,
             Psi=psi,
-            hoop_stress=dpsi,
-            radial_stress=psi / rho,
+            hoop_stress=dpsi,  # hoop stress is Psi'
             W0=float(self.W0),
             force=2.0 * math.pi * float(p[0]),
-            annulus=annulus,
             bvp_solves=self.bvp_solves,
             bvp_iterations=self.bvp_iterations,
             max_nodes=self.max_nodes,
@@ -405,7 +382,8 @@ class _ContinuationState:
 def solve_indentation(
     params: ShellParams, W0: float, options: SolverOptions = SolverOptions()
 ) -> ShellSolution:
-    """Solve the indentation BVP at prescribed dimensionless depth W0 <= 0.
+    """Solve the indentation BVP at prescribed dimensionless depth W0 <= 0,
+    with |W0| at most MAX_DEPTH.
 
     ``options`` picks the membrane limit (default) or the full system.
     Continuation steps from the unindented state, warm-starting each
@@ -423,6 +401,11 @@ def solve_indentation(
     inner boundary (the first-integral constant).
     """
     _check_depth(W0)
+    if abs(W0) > MAX_DEPTH:
+        raise ValidationError(
+            f"|W0| = {abs(W0):.4g} is above the bound {MAX_DEPTH:g} = (RHO_INF / 3)^2: "
+            "the cap junction sqrt(|W0|) must lie well inside the truncated domain"
+        )
     state = _ContinuationState(options.membrane_limit, params.nu, params.tau)
     state.continue_to(float(W0))
     return state.solution()
@@ -473,12 +456,14 @@ def wrinkle_count(params: ShellParams) -> WrinkleCount:
     return WrinkleCount(count=int(math.floor(unrounded + 0.5)), unrounded=unrounded)
 
 
-def cap_profile(W0: float) -> CapProfile:
-    """Inverted-cap displacement profile W0 + rho^2 inside rho <= sqrt(|W0|).
+def cap_profile(W0: float, rho) -> np.ndarray:
+    """Inverted-cap displacement profile at rho: W0 + rho^2 inside
+    rho <= sqrt(|W0|), 0 outside.
 
-    An asymptotic form for W0 << -1: see `CapProfile` for its measured
-    deviation from the solved membrane profile (about 25% RMS at W0 = -8,
-    below 15% only beyond W0 ~ -49).
+    An asymptotic form for W0 << -1.  In the membrane limit its uniform-grid
+    RMS deviation from the solved profile over [rho0, sqrt(|W0|)],
+    normalised by |W0|, is about 30% at W0 = -2, 25% at -8 and 17% at -32;
+    it drops below 15% only beyond W0 ~ -49.
     """
     _check_depth(W0)
     if abs(W0) < 1.0:
@@ -486,7 +471,8 @@ def cap_profile(W0: float) -> CapProfile:
             f"|W0| = {abs(W0):.3g} < 1: cap approximation assumes W0 << -1",
             stacklevel=2,
         )
-    return CapProfile(W0=float(W0))
+    rho = np.asarray(rho, dtype=float)
+    return np.where(rho <= math.sqrt(abs(W0)), W0 + rho**2, 0.0)
 
 
 def solution_to_csv(sol: ShellSolution, path) -> None:

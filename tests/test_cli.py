@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from inflatekit import shell
 from inflatekit.cli import main
 from inflatekit.geometry import TriMesh, icosphere, save_mesh
 from inflatekit.measurement import IndentationSample, IndentationSeries, serialize_series
@@ -148,6 +150,21 @@ class TestCalibrate:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not cal_path.exists()
 
+    def test_zero_pressure_is_validation_error(self, tmp_path, capsys):
+        s800 = write_series(tmp_path / "a.csv", 800.0)
+        s2000 = write_series(tmp_path / "b.csv", 2000.0)
+        code = main(
+            [
+                "calibrate",
+                "--series", str(s800), "--pressure", "0",
+                "--series", str(s2000), "--pressure", "2000",
+                "--radius", str(R), "--thickness", str(H),
+                "--out", str(tmp_path / "cal.json"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: --pressure must be > 0, got 0.0\n"
+
 
 class TestEstimate:
     def test_round_trip_with_explicit_radius(self, tmp_path, capsys):
@@ -208,6 +225,35 @@ class TestEstimate:
             ]
         )
         assert code == 2
+
+    def test_neither_mesh_nor_radius_is_validation_error(self, tmp_path, capsys):
+        cal_path = write_calibration(tmp_path)
+        target = write_series(tmp_path / "target.csv", 1300.0)
+        capsys.readouterr()
+        code = main(
+            [
+                "estimate",
+                "--series", str(target), "--calibration", str(cal_path),
+                "--thickness", str(H), "--wrinkles", "8",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: either --mesh (with --seed-vertex) or --radius required\n"
+
+    def test_nan_series_row_is_validation_error(self, tmp_path, capsys):
+        cal_path = write_calibration(tmp_path)
+        target = tmp_path / "target.csv"
+        target.write_text("force_N,depth_m\n1,0.01\nnan,0.02\n3,0.03\n")
+        capsys.readouterr()
+        code = main(
+            [
+                "estimate",
+                "--series", str(target), "--calibration", str(cal_path),
+                "--radius", str(R), "--thickness", str(H), "--wrinkles", "8",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {target}:3: non-finite value\n"
 
     def test_missing_wrinkles_is_validation_error(self, tmp_path, capsys):
         cal_path = write_calibration(tmp_path)
@@ -626,6 +672,33 @@ class TestSolveShell:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("W0", ["-100.5", "-1000", "-1e300"])
+    def test_depth_beyond_the_bound_rejected_at_once(self, tmp_path, capsys, W0):
+        start = time.perf_counter()
+        code = main(self.BASE + [f"--W0={W0}", "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "above the bound 100 = (RHO_INF / 3)^2" in err
+        assert not (tmp_path / "profile.csv").exists()
+
+    def test_failed_collocation_solve_exits_3(self, tmp_path, capsys, monkeypatch):
+        # every solve reports a nonzero status: the step halves down to its
+        # floor and the continuation gives up
+        solve = shell.solve_bvp
+
+        def failing(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            sol.status, sol.message = 1, "forced failure"
+            return sol
+
+        monkeypatch.setattr(shell, "solve_bvp", failing)
+        code = main(self.BASE + ["--W0=-1", "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == "error: BVP solver failed at W0=-0.001953125 (forced failure)\n"
+        assert not (tmp_path / "profile.csv").exists()
+
 
 def _mostly(ordinary, other, one_in=8):
     """ordinary, or other in about one draw in one_in, so that most drawn
@@ -854,6 +927,10 @@ class TestSimulate:
             {"material": MATERIAL, "planes": [{"point": [0, 0, 0], "normal": [0, 0, 1], "mu": 0.3}]},
             {"material": MATERIAL, "dt": 5e-324, "duration": 1.0},
             {"material": MATERIAL, "dt": 1e-300, "duration": 1.0},
+            {"material": MATERIAL, "indent": {"vertex": 42, "target_depth": 0.01, "levels": 3}},
+            {"material": MATERIAL, "indent": {"vertex": 0, "target_depth": 0.01, "levels": 2}},
+            {"material": MATERIAL, "indent": {"vertex": 0, "target_depth": 0.01, "levels": 100000}},
+            {"material": MATERIAL, "indent": {"vertex": 0, "target_depth": 100}},
         ],
         ids=[
             "top-level-list",
@@ -869,6 +946,10 @@ class TestSimulate:
             "unknown-plane-key",
             "step-count-overflows",
             "step-count-above-cap",
+            "indent-vertex-out-of-range",
+            "two-levels",
+            "levels-above-cap",
+            "derived-levels-above-cap",
         ],
     )
     def test_malformed_scenario_is_validation_error(self, tmp_path, capsys, data):
@@ -881,6 +962,21 @@ class TestSimulate:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_inward_oriented_mesh_rejected(self, tmp_path, capsys):
+        mesh = icosphere(radius=0.13, subdivisions=1)
+        mesh_path = tmp_path / "inward.obj"
+        save_mesh(TriMesh(vertices=mesh.vertices, faces=mesh.faces[:, ::-1]), mesh_path)
+        code = main(
+            [
+                "simulate",
+                "--scenario", str(self.scenario(tmp_path)),
+                "--mesh", str(mesh_path),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: mesh volume must be positive (outward-oriented faces)\n"
 
     def test_indent_ignores_dt_and_duration(self, tmp_path):
         # dt and duration would be refused for a dynamic run

@@ -95,6 +95,14 @@ class TestTrivialSolution:
         with pytest.raises(ValidationError):
             solve_indentation(BALL, W0)
 
+    @pytest.mark.parametrize("W0", [-100.5, -1000.0, -1e300])
+    def test_depth_beyond_the_bound_rejected_before_any_solve(self, monkeypatch, W0):
+        # the cap junction sqrt(|W0|) stays within a third of RHO_INF = 30
+        assert shell.MAX_DEPTH == (shell.RHO_INF / 3.0) ** 2 == 100.0
+        monkeypatch.setattr(shell, "solve_bvp", None)  # any solve would fail
+        with pytest.raises(ValidationError, match=r"above the bound 100 = \(RHO_INF / 3\)\^2"):
+            solve_indentation(BALL, W0)
+
 
 class TestShallowIndentation:
     def test_no_compression_at_minus_one(self, sol_m1):
@@ -350,6 +358,28 @@ class TestContinuation:
         assert state.W0 == -1.0
         assert state.solution().force == pytest.approx(solve_indentation(BALL, -1.0).force, rel=1e-6)
 
+    def test_a_failed_solve_halves_the_step_down_to_the_floor(self, monkeypatch, caplog):
+        # the first solve converges; every later one reports a nonzero status
+        solve = shell.solve_bvp
+        calls = []
+
+        def failing(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            calls.append(sol)
+            if len(calls) > 1:
+                sol.status, sol.message = 1, "forced failure"
+            return sol
+
+        monkeypatch.setattr(shell, "solve_bvp", failing)
+        with caplog.at_level(logging.DEBUG, logger="inflatekit"):
+            with pytest.raises(NonConvergenceError, match="BVP solver failed") as err:
+                solve_indentation(BALL, -1.0)
+        assert err.value.last_good_w0 == -0.25
+        # after -0.25 the step is 0.5; each failure halves it, and one below
+        # 1e-3 ends the continuation
+        targets = [r.bvp["W0"] for r in caplog.records if r.name == "inflatekit.shell"]
+        assert targets == [-0.25] + [-0.25 - 0.5**k for k in range(1, 10)]
+
     def test_each_full_step_doubles_the_step(self, monkeypatch):
         # 0.25, 0.5, 1 and 2 in |W0|, then the landing step
         params = _rescale_to_tau(BALL, 200.0)
@@ -434,28 +464,27 @@ class TestWrinkleCount:
 
 class TestCapProfile:
     def test_apex_value(self):
-        assert cap_profile(-4.0)(0.0) == pytest.approx(-4.0)
+        assert cap_profile(-4.0, 0.0) == pytest.approx(-4.0)
 
     def test_continuity_at_junction(self):
-        cap = cap_profile(-4.0)
-        assert cap(2.0) == pytest.approx(0.0)
-        assert cap(2.0 + 1e-9) == 0.0
+        assert cap_profile(-4.0, 2.0) == pytest.approx(0.0)
+        assert cap_profile(-4.0, 2.0 + 1e-9) == 0.0
 
     def test_inside_value(self):
-        assert cap_profile(-9.0)(1.0) == pytest.approx(-8.0)
+        assert cap_profile(-9.0, 1.0) == pytest.approx(-8.0)
 
     def test_shallow_depth_warns(self):
         with pytest.warns(UserWarning, match="cap approximation"):
-            cap_profile(-0.5)
+            cap_profile(-0.5, 0.0)
 
     def test_positive_depth_rejected(self):
         with pytest.raises(ValidationError):
-            cap_profile(1.0)
+            cap_profile(1.0, 0.0)
 
     @pytest.mark.parametrize("W0", [math.nan, -math.inf])
     def test_non_finite_depth_rejected(self, W0):
         with pytest.raises(ValidationError):
-            cap_profile(W0)
+            cap_profile(W0, 0.0)
 
     def test_matches_deep_solution_within_15_percent_rms(self, sol_m4):
         # The inverted cap W0 + rho^2 is the deep-indentation limit of the
@@ -479,7 +508,7 @@ class TestCapProfile:
             rc = math.sqrt(depth)
             grid = np.linspace(sol.rho[0], rc, 500)
             w_sol = np.interp(grid, sol.rho, sol.W)
-            w_cap = cap_profile(sol.W0)(grid)
+            w_cap = cap_profile(sol.W0, grid)
             rms.append(np.sqrt(np.mean((w_cap - w_sol) ** 2)) / depth)
             junction.append(abs(np.interp(rc, sol.rho, sol.W)) / depth)
         assert rms[0] > rms[1] > rms[2]
@@ -495,10 +524,21 @@ class TestShellSolutionInvariants:
                 W=np.full_like(rho, -0.5),  # does not decay
                 Psi=rho / 2.0,
                 hoop_stress=np.full_like(rho, 0.5),
-                radial_stress=np.full_like(rho, 0.5),
                 W0=-1.0,
                 force=1.0,
             )
+
+    def test_radial_stress_and_annulus_are_derived(self):
+        rho = np.linspace(0.03, 30.0, 500)
+        hoop = np.full_like(rho, 0.5)
+        hoop[[100, 140, 200]] = -0.1
+        sol = ShellSolution(
+            rho=rho, W=np.zeros_like(rho), Psi=rho / 2.0, hoop_stress=hoop, W0=-1.0, force=0.0
+        )
+        assert len(dataclasses.fields(ShellSolution)) == 9
+        np.testing.assert_array_equal(sol.radial_stress, sol.Psi / sol.rho)
+        assert sol.annulus == (rho[100], rho[200])
+        assert dataclasses.replace(sol, hoop_stress=np.abs(hoop)).annulus is None
 
     def test_csv_export(self, tmp_path, sol_m1):
         path = tmp_path / "profile.csv"

@@ -68,6 +68,15 @@ class TestSpecs:
             with pytest.raises(ValidationError):
                 Plane(point=(0.0, 0.0, 0.0), normal=(0.0, 0.0, bad))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_norm_is_refused_without_a_warning(self):
+        # 1.4e154 squared overflows double precision; 1.3e154 does not
+        with pytest.raises(ValidationError, match="normal finite and nonzero"):
+            Plane(point=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.4e154))
+        with pytest.raises(ValidationError, match="axis must be finite and nonzero"):
+            Indenter(vertex=0, axis=(0.0, 0.0, 1.4e154))
+        assert Plane(point=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.3e154)).normal == (0.0, 0.0, 1.0)
+
     def test_scenario_validation(self):
         with pytest.raises(ValidationError):
             ScenarioConfig(dt=0.0)
@@ -108,6 +117,11 @@ class TestInit:
         open_mesh = TriMesh(vertices=mesh.vertices, faces=mesh.faces[:-1])
         with pytest.raises(TopologyError):
             init_sim(open_mesh, MATERIAL)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_set_up_is_refused_without_a_warning(self):
+        with pytest.raises(ValidationError, match="non-finite membrane forces"):
+            ball_state(subdivisions=1, material=replace(MATERIAL, h=4e301))
 
     def test_velocity_shape_enforced(self):
         state = ball_state()
@@ -428,6 +442,19 @@ class TestIndentation:
         config = ScenarioConfig(indenter=Indenter(vertex=0))
         with pytest.raises(InsufficientDataError):
             indent_virtual(state, config, target_depth=0.0)
+
+    @pytest.mark.parametrize(
+        "target_depth, n_levels",
+        [(0.01, 100_000), (0.01, simulator.MAX_LEVELS + 1), (100.0, None)],
+        ids=["given", "one-above", "derived"],
+    )
+    def test_levels_above_the_cap_rejected_before_any_minimisation(
+        self, monkeypatch, target_depth, n_levels
+    ):
+        monkeypatch.setattr(simulator, "minimize", None)  # any minimisation would fail
+        config = ScenarioConfig(gravity=(0.0, 0.0, 0.0), indenter=Indenter(vertex=0))
+        with pytest.raises(ValidationError, match="above the cap of 1,000"):
+            indent_virtual(ball_state(subdivisions=1), config, target_depth, n_levels)
 
     def test_missing_indenter_rejected(self):
         with pytest.raises(ValidationError):
