@@ -18,13 +18,11 @@ import numpy as np
 
 from .errors import (
     InflatekitError,
-    NonConvergenceError,
     ParseError,
-    RankDeficientError,
-    RelaxationTimeoutError,
     SimulationInstabilityError,
     TopologyError,
     ValidationError,
+    positive,
 )
 from .estimator import (
     Calibration,
@@ -59,14 +57,6 @@ from .simulator import (
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_VALIDATION = 2
-EXIT_NUMERICAL = 3
-
-_NUMERICAL_ERRORS = (
-    NonConvergenceError,
-    SimulationInstabilityError,
-    RelaxationTimeoutError,
-    RankDeficientError,
-)
 
 
 def _warn_depth_units(series, path):
@@ -86,8 +76,7 @@ def cmd_calibrate(args) -> int:
     records = []
     rows = []
     for path, pg in zip(args.series, args.pressure):
-        if not (pg > 0):
-            raise ValidationError(f"--pressure must be > 0, got {pg}")
+        positive("--pressure", pg)
         series = parse_series(path, args.radius, args.thickness)
         _warn_depth_units(series, path)
         reg = regress_phat(series)
@@ -219,18 +208,19 @@ def cmd_solve_shell(args) -> int:
     params = ShellParams(
         R=args.radius, h=args.thickness, E=args.modulus, nu=args.nu, Pg=args.pressure
     )
-    options = SolverOptions(membrane_limit=not args.full)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     diagnostics = {
         "tau": params.tau,
         "n_predicted": wrinkle_count(params).count,
         "membrane_limit": not args.full,
     }
+    # a refused --W0 exits before the onset search runs and before --out is made
+    if args.W0 is not None:
+        sol = solve_indentation(params, args.W0, SolverOptions(membrane_limit=not args.full))
     if args.critical:
         diagnostics["critical_W0"] = critical_depth(params)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if args.W0 is not None:
-        sol = solve_indentation(params, args.W0, options)
         solution_to_csv(sol, out_dir / "profile.csv")
         diagnostics["W0"] = sol.W0
         diagnostics["force"] = sol.force
@@ -450,12 +440,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except InflatekitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

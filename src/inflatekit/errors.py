@@ -1,8 +1,12 @@
-"""Exception hierarchy shared by all inflatekit modules."""
+"""Exception hierarchy shared by all inflatekit modules, and its one input check."""
+
+import math
 
 
 class InflatekitError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2  # the CLI's exit status: invalid input; a numerical failure sets 3
 
 
 class ValidationError(InflatekitError):
@@ -30,6 +34,8 @@ class InsufficientDataError(ValidationError):
 class RankDeficientError(InflatekitError):
     """Regression system has no unique solution (e.g. all depths equal)."""
 
+    exit_code = 3
+
 
 class IndexRangeError(ValidationError):
     """A vertex or face index is out of range."""
@@ -54,6 +60,8 @@ class DegenerateFitError(InflatekitError):
 class NonConvergenceError(InflatekitError):
     """Newton/continuation failed; carries the last depth that converged."""
 
+    exit_code = 3
+
     def __init__(self, message, last_good_w0=None):
         self.last_good_w0 = last_good_w0
         super().__init__(message)
@@ -61,6 +69,8 @@ class NonConvergenceError(InflatekitError):
 
 class SimulationInstabilityError(InflatekitError):
     """Time stepping produced an inverted element or non-finite state."""
+
+    exit_code = 3
 
     def __init__(self, message, face_id=None, frame=None):
         self.face_id = face_id
@@ -71,3 +81,12 @@ class SimulationInstabilityError(InflatekitError):
 class RelaxationTimeoutError(InflatekitError):
     """Quasi-static equilibrium not reached: a free vertex keeps a net force
     of RELAX_FORCE_TOL or more after the potential was minimised."""
+
+    exit_code = 3
+
+
+def positive(name, value, error=ValidationError):
+    """value when 0 < value < inf; otherwise raise error naming name."""
+    if not 0 < value < math.inf:  # also false for nan
+        raise error(f"{name} must be finite and > 0, got {value}")
+    return value

@@ -28,6 +28,7 @@ from .errors import (
     InsufficientDataError,
     RankDeficientError,
     ValidationError,
+    positive,
 )
 from .measurement import IndentationSeries
 from .shell import DEFAULT_NU, WRINKLE_FACTOR
@@ -58,12 +59,8 @@ class CalibrationRecord:
     estimated_Pg_hat: float  # Pa, regress_phat output
 
     def __post_init__(self):
-        if not (0 < self.measured_Pg < math.inf):
-            raise ValidationError(f"measured_Pg must be finite and > 0, got {self.measured_Pg}")
-        if not (0 < self.estimated_Pg_hat < math.inf):
-            raise ValidationError(
-                f"estimated_Pg_hat must be finite and > 0, got {self.estimated_Pg_hat}"
-            )
+        positive("measured_Pg", self.measured_Pg)
+        positive("estimated_Pg_hat", self.estimated_Pg_hat)
 
 
 @dataclass(frozen=True)
@@ -76,8 +73,7 @@ class Calibration:
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
-        if not (0 < self.ks < math.inf):
-            raise ValidationError(f"ks must be finite and > 0, got {self.ks}")
+        positive("ks", self.ks)
         if not math.isfinite(self.fit_r2):
             raise ValidationError(f"fit_r2 must be finite, got {self.fit_r2}")
 
@@ -206,8 +202,7 @@ def estimate_modulus_from_wrinkles(
     raises ValidationError.
     """
     for name, value in (("R", R), ("h", h), ("Pg", Pg)):
-        if not (0 < value < math.inf):
-            raise ValidationError(f"{name} must be finite and > 0, got {value}")
+        positive(name, value)
     if not (n >= 1):
         raise ValidationError(f"n must be >= 1, got {_show_count(n)}")
     if not (0 < nu < 0.5):
@@ -245,14 +240,18 @@ def estimate_modulus_from_critical_depth(
 
     E = 2.52 * Pg * R^2 / (h * wc).  Always tagged UNRELIABLE: the onset
     depth is hard to measure and the error propagates directly into E.
-    Use estimate_modulus_from_wrinkles for actual estimation.
+    Use estimate_modulus_from_wrinkles for actual estimation.  An E that
+    overflows or underflows double precision raises ValidationError.
     """
     for name, value in (("R", R), ("h", h), ("wc", wc), ("Pg", Pg)):
-        if not (value > 0):
-            raise ValidationError(f"{name} must be > 0, got {value}")
-    return TaggedModulus(
-        E=CRITICAL_DEPTH_FACTOR * Pg * R**2 / (h * wc), tag=UNRELIABLE
-    )
+        positive(name, value)
+    try:
+        e_mod = CRITICAL_DEPTH_FACTOR * Pg * R**2 / (h * wc)
+    except (OverflowError, ZeroDivisionError):  # R^2 beyond float range, or h * wc -> 0
+        e_mod = math.inf
+    if not (0 < e_mod < math.inf):
+        raise ValidationError(f"modulus E from wc = {wc} overflows or underflows double precision")
+    return TaggedModulus(E=e_mod, tag=UNRELIABLE)
 
 
 def run_procedure3(

@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
     TopologyError,
     ValidationError,
+    positive,
 )
 
 MIN_PATCH_VERTICES = 10
@@ -325,8 +326,7 @@ def select_patch(mesh: TriMesh, seed: int, radius_hint: float) -> SurfacePatch:
     """
     if not (0 <= seed < mesh.n_vertices):
         raise IndexRangeError(f"seed {seed} out of range [0, {mesh.n_vertices})")
-    if not (radius_hint > 0):
-        raise ValidationError("radius_hint must be > 0")
+    positive("radius_hint", radius_hint)
     dist = dijkstra(mesh._edge_graph, directed=True, indices=seed, limit=radius_hint)
     ids = tuple(np.flatnonzero(np.isfinite(dist)).tolist())
     if len(ids) < MIN_PATCH_VERTICES:

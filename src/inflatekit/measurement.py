@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import InsufficientDataError, ParseError, ValidationError
+from .errors import InsufficientDataError, ParseError, ValidationError, positive
 
 CSV_HEADER = "force_N,depth_m"
 
@@ -39,10 +39,8 @@ class IndentationSample:
     depth: float
 
     def __post_init__(self):
-        if not (0 < self.force < math.inf):
-            raise ValidationError(f"force must be finite and > 0, got {self.force}")
-        if not (0 < self.depth < math.inf):
-            raise ValidationError(f"depth must be finite and > 0, got {self.depth}")
+        positive("force", self.force)
+        positive("depth", self.depth)
 
 
 @dataclass(frozen=True)
@@ -60,10 +58,8 @@ class IndentationSeries:
             raise InsufficientDataError(
                 f"need at least {MIN_SAMPLES} samples, got {len(self.samples)}"
             )
-        for name, value in (("region_radius R", self.region_radius),
-                            ("region_thickness h", self.region_thickness)):
-            if not (0 < value < math.inf):
-                raise ValidationError(f"{name} must be finite and > 0, got {value}")
+        positive("region_radius R", self.region_radius)
+        positive("region_thickness h", self.region_thickness)
         if not (self.region_thickness < self.region_radius):
             raise ValidationError("region_thickness must be < region_radius")
         ratio = self.region_thickness / self.region_radius
@@ -91,8 +87,7 @@ class DropTest:
     bounce_height: float
 
     def __post_init__(self):
-        if not (self.drop_height > 0):
-            raise ValidationError("drop_height must be > 0")
+        positive("drop_height", self.drop_height)
         if not (0 < self.bounce_height <= self.drop_height):
             raise ValidationError(
                 "bounce_height must satisfy 0 < bounce_height <= drop_height"
@@ -110,7 +105,8 @@ def parse_series(
     """Read an indentation CSV file into an IndentationSeries.
 
     Raises ParseError for malformed rows (with line number), ValidationError
-    for nonpositive values, InsufficientDataError for fewer than 3 samples.
+    for a force or depth that is not finite and > 0 (with path and line),
+    InsufficientDataError for fewer than 3 samples.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -141,14 +137,10 @@ def parse_series(
             raise ParseError(
                 f"non-numeric value in row {line!r}", line=lineno, path=str(path)
             ) from None
-        if not (math.isfinite(force) and math.isfinite(depth)):
-            raise ValidationError(f"{path}:{lineno}: non-finite value")
-        if force <= 0 or depth <= 0:
-            raise ValidationError(
-                f"{path}:{lineno}: force and depth must be > 0, "
-                f"got ({force}, {depth})"
-            )
-        samples.append(IndentationSample(force=force, depth=depth))
+        try:
+            samples.append(IndentationSample(force=force, depth=depth))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
     if len(samples) < MIN_SAMPLES:
         raise InsufficientDataError(
             f"{path}: need at least {MIN_SAMPLES} valid rows, got {len(samples)}"

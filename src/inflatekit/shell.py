@@ -36,7 +36,7 @@ import numpy as np
 from scipy.integrate import solve_bvp
 from scipy.optimize import brentq
 
-from .errors import NonConvergenceError, ValidationError
+from .errors import NonConvergenceError, ValidationError, positive
 
 _log = logging.getLogger(__name__)
 
@@ -87,16 +87,14 @@ class ShellParams:
 
     def __post_init__(self):
         for name in ("R", "h", "E", "Pg"):
-            if not (getattr(self, name) > 0):
-                raise ValidationError(f"{name} must be > 0, got {getattr(self, name)}")
+            positive(name, getattr(self, name))
         if not (0 < self.nu < 0.5):
             raise ValidationError(f"nu must be in (0, 0.5), got {self.nu}")
         try:
             tau = self.tau
         except (ZeroDivisionError, OverflowError):  # E h B underflows to 0, R^2 or h^3 overflows
             tau = math.inf
-        if not (math.isfinite(tau) and tau > 0):
-            raise ValidationError("tau must be finite and positive")
+        positive("tau", tau)
 
     @property
     def bending_stiffness(self) -> float:

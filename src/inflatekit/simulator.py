@@ -36,6 +36,7 @@ from .errors import (
     SimulationInstabilityError,
     TopologyError,
     ValidationError,
+    positive,
 )
 from .geometry import TriMesh, signed_volume
 from .measurement import IndentationSample, IndentationSeries
@@ -67,8 +68,7 @@ class MaterialSpec:
 
     def __post_init__(self):
         for name in ("E", "h", "density", "Pg0"):
-            if not (0 < getattr(self, name) < math.inf):
-                raise ValidationError(f"{name} must be finite and > 0")
+            positive(name, getattr(self, name))
         if not (0 < self.nu < 0.5):
             raise ValidationError(f"nu must be in (0, 0.5), got {self.nu}")
         if self.gas_model not in GAS_MODELS:
@@ -87,6 +87,16 @@ class MaterialSpec:
         return self.E * self.nu / (1.0 - self.nu**2)
 
 
+def _unit_vector(vector, message) -> tuple:
+    """vector / |vector|; ValidationError(message) if |vector| is 0 or not finite."""
+    v = np.asarray(vector, dtype=float)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norm = np.linalg.norm(v)
+    if not 0 < norm < math.inf:
+        raise ValidationError(message)
+    return tuple(v / norm)
+
+
 @dataclass(frozen=True)
 class Plane:
     """Half-space collider: points with (x - point) . normal < 0 are inside."""
@@ -95,13 +105,11 @@ class Plane:
     normal: tuple
 
     def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float)
-        with np.errstate(over="ignore"):  # an overflowing norm is refused below
-            norm = np.linalg.norm(n)
-        if not (0 < norm < math.inf and np.isfinite(self.point).all()):
-            raise ValidationError("plane point must be finite, normal finite and nonzero")
+        message = "plane point must be finite, normal finite and nonzero"
+        object.__setattr__(self, "normal", _unit_vector(self.normal, message))
+        if not np.isfinite(self.point).all():
+            raise ValidationError(message)
         object.__setattr__(self, "point", tuple(float(v) for v in self.point))
-        object.__setattr__(self, "normal", tuple(n / norm))
 
 
 @dataclass(frozen=True)
@@ -112,12 +120,8 @@ class Indenter:
     axis: tuple = (0.0, 0.0, -1.0)  # direction of advance (into the surface)
 
     def __post_init__(self):
-        a = np.asarray(self.axis, dtype=float)
-        with np.errstate(over="ignore"):  # an overflowing norm is refused below
-            norm = np.linalg.norm(a)
-        if not 0 < norm < math.inf:
-            raise ValidationError("indenter axis must be finite and nonzero")
-        object.__setattr__(self, "axis", tuple(a / norm))
+        axis = _unit_vector(self.axis, "indenter axis must be finite and nonzero")
+        object.__setattr__(self, "axis", axis)
 
 
 @dataclass(frozen=True)
@@ -137,8 +141,7 @@ class ScenarioConfig:
         object.__setattr__(self, "planes", tuple(self.planes))
         if not np.isfinite(self.gravity).all():
             raise ValidationError("gravity must be finite")
-        if not (0 < self.dt < math.inf):
-            raise ValidationError("dt must be finite and > 0")
+        positive("dt", self.dt)
         if not (0 <= self.duration < math.inf):
             raise ValidationError("duration must be finite and >= 0")
         if not (0 < self.restitution <= 1):
@@ -472,74 +475,78 @@ def _advance(state: SimState, config: ScenarioConfig, n_steps: int, observe=None
     step after it and step n_steps, and for the result.  Forces are taken
     at the gas pressure of each step's own volume; a volume at or below
     zero, a collapsed element or a non-finite state raises
-    SimulationInstabilityError naming the frame.  Returns the final state
-    and the contact episodes entered per plane.
+    SimulationInstabilityError naming the frame, with numpy's warnings off
+    (observe runs under the caller's).  Returns the final state and the
+    contact episodes entered per plane.
     """
-    model = state._model
-    dt = config.dt
-    dt_m, load, normals, offsets = model._constants_for(config)
-    masses, total_mass = model.masses, model.total_mass
-    damping_m = config.damping * masses if config.damping > 0 else None
-    # (3, n) views of the Fortran-ordered (n, 3) state
-    x = state.vertices.T
-    v = state.velocities.T
-    time = state.time
-    contact = list(state.contact_state)
-    if len(contact) != len(normals):
-        contact = [(False, 0.0)] * len(normals)
-    episodes = [0] * len(normals)
+    caller = np.geterr() if observe is not None else None
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        model = state._model
+        dt = config.dt
+        dt_m, load, normals, offsets = model._constants_for(config)
+        masses, total_mass = model.masses, model.total_mass
+        damping_m = config.damping * masses if config.damping > 0 else None
+        # (3, n) views of the Fortran-ordered (n, 3) state
+        x = state.vertices.T
+        v = state.velocities.T
+        time = state.time
+        contact = list(state.contact_state)
+        if len(contact) != len(normals):
+            contact = [(False, 0.0)] * len(normals)
+        episodes = [0] * len(normals)
 
-    for k in range(1, n_steps + 1):
-        frame = int(round(time / dt))
-        forces = model._forces(x, None, frame)[0]
-        forces += load
-        if damping_m is not None:
-            forces -= damping_m * v
-        v = v + dt_m * forces
+        for k in range(1, n_steps + 1):
+            frame = int(round(time / dt))
+            forces = model._forces(x, None, frame)[0]
+            forces += load
+            if damping_m is not None:
+                forces -= damping_m * v
+            v = v + dt_m * forces
 
-        # frictionless plane contacts with per-episode restitution
-        com_v = v @ masses / total_mass
-        x_new = x + dt * v
-        for j, n_hat in enumerate(normals):
-            dist = n_hat @ x_new - offsets[j]
-            was_in, v_in = contact[j]
-            if dist.min() < CONTACT_TOL:  # some vertex touches the plane
-                if not was_in:
-                    # entering contact: record incoming COM normal speed
-                    v_in = max(0.0, -float(com_v @ n_hat))
-                    episodes[j] += 1
-                # project penetrating vertices; remove inward normal velocity
-                pen = np.flatnonzero(dist < 0)
-                if pen.size:
-                    x_new[:, pen] -= n_hat[:, None] * dist[pen]
-                    vn = n_hat @ v[:, pen]
-                    inward = vn < 0
-                    v[:, pen[inward]] -= n_hat[:, None] * vn[inward]
-                contact[j] = (True, v_in)
-            else:
-                if was_in and v_in > 0.0:
-                    # separation: set outgoing COM normal speed to e * v_in.  An
-                    # episode entered without approach speed (a wobbling vertex
-                    # touching down after lift-off) has no bounce to restore.
-                    out = float(com_v @ n_hat)
-                    shift = config.restitution * v_in - out
-                    v = v + shift * n_hat[:, None]
-                    x_new = x + dt * v
-                contact[j] = (False, 0.0)
+            # frictionless plane contacts with per-episode restitution
+            com_v = v @ masses / total_mass
+            x_new = x + dt * v
+            for j, n_hat in enumerate(normals):
+                dist = n_hat @ x_new - offsets[j]
+                was_in, v_in = contact[j]
+                if dist.min() < CONTACT_TOL:  # some vertex touches the plane
+                    if not was_in:
+                        # entering contact: record incoming COM normal speed
+                        v_in = max(0.0, -float(com_v @ n_hat))
+                        episodes[j] += 1
+                    # project penetrating vertices; remove inward normal velocity
+                    pen = np.flatnonzero(dist < 0)
+                    if pen.size:
+                        x_new[:, pen] -= n_hat[:, None] * dist[pen]
+                        vn = n_hat @ v[:, pen]
+                        inward = vn < 0
+                        v[:, pen[inward]] -= n_hat[:, None] * vn[inward]
+                    contact[j] = (True, v_in)
+                else:
+                    if was_in and v_in > 0.0:
+                        # separation: set outgoing COM normal speed to e * v_in.  An
+                        # episode entered without approach speed (a wobbling vertex
+                        # touching down after lift-off) has no bounce to restore.
+                        out = float(com_v @ n_hat)
+                        shift = config.restitution * v_in - out
+                        v = v + shift * n_hat[:, None]
+                        x_new = x + dt * v
+                    contact[j] = (False, 0.0)
 
-        if not np.isfinite(x_new).all() or not np.isfinite(v).all():
-            raise SimulationInstabilityError(
-                "non-finite state after step", frame=frame + 1
-            )
-        x = x_new
-        time = time + dt
-        if observe is not None and ((k - 1) % every == 0 or k == n_steps):
-            observe(k, SimState(vertices=x.T, velocities=v.T, time=time,
-                                contact_state=tuple(contact), _model=model))
+            if not np.isfinite(x_new).all() or not np.isfinite(v).all():
+                raise SimulationInstabilityError(
+                    "non-finite state after step", frame=frame + 1
+                )
+            x = x_new
+            time = time + dt
+            if observe is not None and ((k - 1) % every == 0 or k == n_steps):
+                with np.errstate(**caller):
+                    observe(k, SimState(vertices=x.T, velocities=v.T, time=time,
+                                        contact_state=tuple(contact), _model=model))
 
-    final = SimState(vertices=x.T, velocities=v.T, time=time,
-                     contact_state=tuple(contact), _model=model)
-    return final, tuple(episodes)
+        final = SimState(vertices=x.T, velocities=v.T, time=time,
+                         contact_state=tuple(contact), _model=model)
+        return final, tuple(episodes)
 
 
 def step(state: SimState, config: ScenarioConfig) -> SimState:
@@ -627,10 +634,7 @@ def indent_virtual(
         raise ValidationError("config.indenter must be set")
     if config.planes:
         raise ValidationError("the support is a pinned cap; planes are not supported")
-    if not (0 < target_depth < math.inf):
-        raise InsufficientDataError(
-            f"target_depth must be finite and > 0 to collect samples, got {target_depth}"
-        )
+    positive("target_depth", target_depth, InsufficientDataError)
     ind = config.indenter
     if not (0 <= ind.vertex < len(state.vertices)):
         raise ValidationError(f"indenter vertex {ind.vertex} out of range")

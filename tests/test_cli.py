@@ -1,18 +1,21 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import inspect
 import json
 import math
+import re
 import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from inflatekit import shell
+from inflatekit import cli, errors, shell
 from inflatekit.cli import main
 from inflatekit.geometry import TriMesh, icosphere, save_mesh
 from inflatekit.measurement import IndentationSample, IndentationSeries, serialize_series
@@ -163,7 +166,7 @@ class TestCalibrate:
             ]
         )
         assert code == 2
-        assert capsys.readouterr().err == "error: --pressure must be > 0, got 0.0\n"
+        assert capsys.readouterr().err == "error: --pressure must be finite and > 0, got 0.0\n"
 
 
 class TestEstimate:
@@ -253,7 +256,25 @@ class TestEstimate:
             ]
         )
         assert code == 2
-        assert capsys.readouterr().err == f"error: {target}:3: non-finite value\n"
+        assert capsys.readouterr().err == f"error: {target}:3: force must be finite and > 0, got nan\n"
+
+    def test_infinite_patch_radius_is_validation_error(self, tmp_path, capsys):
+        # an infinite patch radius used to select the whole scan and exit 0
+        cal_path = write_calibration(tmp_path)
+        target = write_series(tmp_path / "target.csv", 1300.0)
+        mesh_path = tmp_path / "ball.obj"
+        save_mesh(icosphere(radius=R, subdivisions=3), mesh_path)
+        capsys.readouterr()
+        code = main(
+            [
+                "estimate",
+                "--series", str(target), "--calibration", str(cal_path),
+                "--mesh", str(mesh_path), "--seed-vertex", "0", "--patch-radius", "inf",
+                "--thickness", str(H), "--wrinkles", "8",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: radius_hint must be finite and > 0, got inf\n")
 
     def test_missing_wrinkles_is_validation_error(self, tmp_path, capsys):
         cal_path = write_calibration(tmp_path)
@@ -582,6 +603,32 @@ def test_any_estimate_numbers_exit_cleanly(tmp_path, capsys, values):
     _assert_clean_exit(code, *capsys.readouterr())
 
 
+@given(pressures=st.tuples(ARG_FLOAT, ARG_FLOAT))
+@example(pressures=("inf", "2000.0"))
+@example(pressures=("nan", "2000.0"))
+@example(pressures=("-800.0", "2000.0"))
+@example(pressures=("5e-324", "2000.0"))
+@example(pressures=("800.0", "1e308"))
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_any_calibrate_pressures_exit_cleanly(tmp_path, capsys, pressures):
+    series = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    if not series[0].exists():
+        write_series(series[0], 800.0)
+        write_series(series[1], 2000.0)
+    capsys.readouterr()
+    code = main(
+        [
+            "calibrate",
+            "--series", str(series[0]), f"--pressure={pressures[0]}",
+            "--series", str(series[1]), f"--pressure={pressures[1]}",
+            "--radius", str(R), "--thickness", str(H), "--out", str(tmp_path / "cal.json"),
+        ]
+    )
+    assert code in (0, 2)
+    _assert_clean_exit(code, None, capsys.readouterr().err)
+
+
 # a seed vertex of the 642-vertex icosphere: in range, negative or huge
 SEED_VERTEX = st.integers(0, 641) | st.integers(-(10**30), -1) | st.integers(642, 10**30)
 # a patch radius for an R = 0.13 m sphere: ordinary or any argv number
@@ -682,6 +729,22 @@ class TestSolveShell:
         assert err.startswith("error: ")
         assert "above the bound 100 = (RHO_INF / 3)^2" in err
         assert not (tmp_path / "profile.csv").exists()
+
+    @pytest.mark.parametrize("critical", [False, True], ids=["", "critical"])
+    @pytest.mark.parametrize("W0", ["nan", "inf", "-inf", "0.5", "-100.5", "-1e300"])
+    def test_refused_depth_exits_before_any_solve_or_output(
+        self, tmp_path, capsys, monkeypatch, W0, critical
+    ):
+        def no_search(params):
+            raise AssertionError("the onset search ran")
+
+        monkeypatch.setattr(cli, "critical_depth", no_search)
+        monkeypatch.setattr(shell, "solve_bvp", None)
+        out = tmp_path / "shell"
+        code = main(self.BASE + [f"--W0={W0}", *(["--critical"] * critical), "--out", str(out)])
+        assert code == 2
+        _assert_clean_exit(code, *capsys.readouterr())
+        assert not out.exists()
 
     def test_failed_collocation_solve_exits_3(self, tmp_path, capsys, monkeypatch):
         # every solve reports a nonzero status: the step halves down to its
@@ -1052,6 +1115,28 @@ class TestMeshInfo:
 
     def test_missing_mesh_is_io_error(self, tmp_path):
         assert main(["mesh-info", "--mesh", str(tmp_path / "nope.obj")]) == 1
+
+
+# every error class of inflatekit.errors, each exiting with its exit_code
+ERROR_CLASSES = [
+    cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, errors.InflatekitError)
+]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_error_exits_with_the_code_in_the_readme_table(tmp_path, capsys, monkeypatch, cls):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {name: int(code) for name, code in re.findall(r"^\| `(\w+)` \| (\d) \|", readme, re.M)}
+    assert set(table) == {c.__name__ for c in ERROR_CLASSES}
+
+    def failing(path):
+        raise cls("forced")
+
+    monkeypatch.setattr(cli, "load_mesh", failing)
+    code = main(["mesh-info", "--mesh", str(tmp_path / "ball.obj")])
+    assert code == cls.exit_code == table[cls.__name__]
+    assert capsys.readouterr().err == "error: forced\n"
 
 
 class TestParserReuse:

@@ -280,6 +280,24 @@ class TestModulusFromCriticalDepth:
         with pytest.raises(ValidationError):
             estimate_modulus_from_critical_depth(R=0.13, h=8.6e-4, wc=0.0, Pg=1300.0)
 
+    @pytest.mark.parametrize(
+        "R, h, wc, error",
+        [
+            (math.inf, 8.6e-4, 0.03, "R must be finite and > 0, got inf"),
+            (0.13, 8.6e-4, math.inf, "wc must be finite and > 0, got inf"),
+            (0.13, 8.6e-4, math.nan, "wc must be finite and > 0, got nan"),
+            (0.13, 1e-300, 1e-300, "modulus E from wc = 1e-300 overflows or underflows double precision"),
+            (1e200, 8.6e-4, 0.03, "modulus E from wc = 0.03 overflows or underflows double precision"),
+            (1e-200, 1.0, 1.0, "modulus E from wc = 1.0 overflows or underflows double precision"),
+        ],
+        ids=["infinite-R", "infinite-wc", "nan-wc", "h-wc-underflows", "R-squared-overflows", "E-underflows"],
+    )
+    def test_out_of_range_input_or_modulus_rejected(self, R, h, wc, error):
+        # at R = inf E was inf, at wc = inf 0.0, and h * wc -> 0 raised ZeroDivisionError
+        with pytest.raises(ValidationError) as err:
+            estimate_modulus_from_critical_depth(R=R, h=h, wc=wc, Pg=1300.0)
+        assert str(err.value) == error
+
 
 class TestRunProcedure3:
     def test_noiseless_round_trip(self):

@@ -104,6 +104,13 @@ class TestSelectPatch:
         with pytest.raises(IndexRangeError):
             select_patch(mesh, seed=mesh.n_vertices, radius_hint=0.5)
 
+    @pytest.mark.parametrize("radius_hint", [math.inf, math.nan, 0.0, -0.5])
+    def test_radius_hint_must_be_finite_and_positive(self, radius_hint):
+        # an infinite radius used to select the whole mesh
+        mesh = icosphere(radius=1.0, subdivisions=2)
+        with pytest.raises(ValidationError, match=f"radius_hint must be finite and > 0, got {radius_hint}"):
+            select_patch(mesh, seed=0, radius_hint=radius_hint)
+
     def test_patch_grows_with_radius(self):
         mesh = icosphere(radius=1.0, subdivisions=3)
         small = set(select_patch(mesh, 0, 0.3).vertex_ids)

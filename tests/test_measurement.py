@@ -111,6 +111,21 @@ class TestParseSeries:
         with pytest.raises(ValidationError):
             parse_series(path, 0.13, 8.6e-4)
 
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            ("-2.0,0.010", "force must be finite and > 0, got -2.0"),
+            ("2.0,inf", "depth must be finite and > 0, got inf"),
+            ("nan,-1", "force must be finite and > 0, got nan"),
+        ],
+    )
+    def test_refused_value_names_its_field_and_line(self, tmp_path, row, error):
+        path = tmp_path / "series.csv"
+        path.write_text(f"{CSV_HEADER}\n# trial 1\n1.0,0.005\n{row}\n3.0,0.015\n")
+        with pytest.raises(ValidationError) as err:
+            parse_series(path, 0.13, 8.6e-4)
+        assert str(err.value) == f"{path}:4: {error}"
+
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text(f"{CSV_HEADER}\n1.0,0.005\n2.0,0.010\n")
@@ -136,6 +151,12 @@ class TestDropTest:
     def test_zero_bounce_rejected(self):
         with pytest.raises(ValidationError):
             DropTest(drop_height=0.5, bounce_height=0.0)
+
+    @pytest.mark.parametrize("bounce", [1.0, math.inf])
+    def test_infinite_drop_height_rejected(self, bounce):
+        # DropTest(inf, inf) used to give a restitution coefficient of nan
+        with pytest.raises(ValidationError, match="drop_height must be finite and > 0, got inf"):
+            DropTest(drop_height=math.inf, bounce_height=bounce)
 
     @given(
         drop=st.floats(min_value=1e-3, max_value=10.0),

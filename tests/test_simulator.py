@@ -435,6 +435,27 @@ class TestRun:
         assert from_run.value.frame == from_chain.value.frame == 7
         assert from_run.value.face_id == from_chain.value.face_id
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_blow_up_raises_the_typed_error_without_a_warning(self):
+        # 1e305 m/s over a 1e4 s step overflows the positions
+        state = replace(ball_state(subdivisions=1), velocities=np.full((42, 3), 1e305))
+        config = ScenarioConfig(dt=1e4, duration=3e4)
+        for advance in (lambda: step(state, config), lambda: run(state, config)):
+            with pytest.raises(SimulationInstabilityError, match="non-finite state after step") as err:
+                advance()
+            assert err.value.frame == 1
+
+    def test_observer_runs_under_the_callers_error_state(self):
+        config = replace(self.CONFIG, duration=2 * self.CONFIG.dt)
+
+        def observe(k, state):
+            np.float64(1e308) * 10.0
+
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            run(self.start(), config, observe)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            run(self.start(), config, observe)
+
 
 class TestIndentation:
     def test_zero_target_depth_rejected(self):
