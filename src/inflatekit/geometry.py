@@ -44,6 +44,12 @@ CURVATURE_RESIDUAL_WARN = 0.05
 MESH_CACHE_BYTES = 64 * 2**20
 MESH_CACHE_ENTRY_BYTES = 1024
 
+# rows save_mesh formats per write
+SAVE_BLOCK_ROWS = 4096
+
+# icosphere(r, 8) has 1,310,720 faces; each level quadruples them
+MAX_SUBDIVISIONS = 8
+
 
 @dataclass(frozen=True)
 class TriMesh:
@@ -310,12 +316,19 @@ def _first_bad(tokens, convert):
 
 
 def save_mesh(mesh: TriMesh, path) -> None:
-    """Write an OBJ file (geometry records only)."""
+    """Write an OBJ file (geometry records only).
+
+    Coordinates are written as repr() of each float, so load_mesh gives back
+    the same arrays bit for bit; rows go out SAVE_BLOCK_ROWS at a time.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+        # one % format per block: %r of a float is its repr, %d of an int its str
+        for i in range(0, mesh.n_vertices, SAVE_BLOCK_ROWS):
+            block = mesh.vertices[i:i + SAVE_BLOCK_ROWS]
+            fh.write(("v %r %r %r\n" * len(block)) % tuple(block.ravel().tolist()))
+        for i in range(0, mesh.n_faces, SAVE_BLOCK_ROWS):
+            block = mesh.faces[i:i + SAVE_BLOCK_ROWS] + 1
+            fh.write(("f %d %d %d\n" * len(block)) % tuple(block.ravel().tolist()))
 
 
 def select_patch(mesh: TriMesh, seed: int, radius_hint: float) -> SurfacePatch:
@@ -431,6 +444,7 @@ def signed_volume(mesh: TriMesh) -> float:
 
 def icosahedron(radius: float = 1.0) -> TriMesh:
     """Regular icosahedron with vertices on a sphere of the given radius."""
+    positive("radius", radius)
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     raw = np.array(
         [
@@ -454,30 +468,46 @@ def icosahedron(radius: float = 1.0) -> TriMesh:
 
 
 def icosphere(radius: float = 1.0, subdivisions: int = 3) -> TriMesh:
-    """Icosahedron subdivided and projected onto a sphere."""
-    if subdivisions < 0:
-        raise ValidationError("subdivisions must be >= 0")
+    """Icosahedron subdivided and projected onto a sphere.
+
+    Each level splits every face into four at its edge midpoints, pushed out
+    to the sphere.  subdivisions is an integer in [0, MAX_SUBDIVISIONS].
+    """
+    if not (isinstance(subdivisions, (int, np.integer))
+            and 0 <= subdivisions <= MAX_SUBDIVISIONS):
+        raise ValidationError(
+            f"subdivisions must be an integer in [0, {MAX_SUBDIVISIONS}], got {subdivisions!r}"
+        )
     mesh = icosahedron(radius)
-    verts = list(map(tuple, mesh.vertices))
-    faces = mesh.faces.tolist()
+    vertices, faces = mesh.vertices, mesh.faces
     for _ in range(subdivisions):
-        cache: dict[tuple[int, int], int] = {}
+        vertices, faces = _subdivide(vertices, faces, radius)
+    return TriMesh(vertices=vertices, faces=faces)
 
-        def midpoint(a, b):
-            key = (min(a, b), max(a, b))
-            if key not in cache:
-                p = (np.array(verts[a]) + np.array(verts[b])) / 2.0
-                p *= radius / np.linalg.norm(p)
-                cache[key] = len(verts)
-                verts.append(tuple(p))
-            return cache[key]
 
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
-        faces = new_faces
-    return TriMesh(vertices=np.array(verts), faces=np.array(faces, dtype=np.int64))
+def _subdivide(vertices: np.ndarray, faces: np.ndarray, radius: float):
+    """One icosphere level: a midpoint vertex per edge, four faces per face.
+
+    The midpoints are numbered after the old vertices in the order a walk of
+    the edges ab, bc, ca of each face, face by face, first meets them.
+    """
+    n = len(vertices)
+    a, b = _directed_edges(faces)
+    # first[k]: the first face edge with the k-th smallest key
+    _, first, inverse = np.unique(
+        np.minimum(a, b) * n + np.maximum(a, b), return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(n, n + len(order))
+    ab, bc, ca = number[inverse].reshape(-1, 3).T
+    ends = first[order]
+    p = (vertices[a[ends]] + vertices[b[ends]]) / 2.0
+    # |p| as sqrt(p.p) through the dot kernel, bit for bit np.linalg.norm(p)
+    p *= (radius / np.sqrt((p[:, None, :] @ p[:, :, None]).ravel()))[:, None]
+    fa, fb, fc = faces.T
+    split = np.stack([fa, ab, ca, ab, fb, bc, ca, bc, fc, ab, bc, ca], axis=1)
+    return np.concatenate([vertices, p]), split.reshape(-1, 3)
 
 
 def box_mesh(size=(1.0, 1.0, 1.0), center=(0.0, 0.0, 0.0)) -> TriMesh:

@@ -30,7 +30,7 @@ import logging
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_bvp
@@ -77,13 +77,16 @@ MAX_NODES = 200_000  # caps each refined mesh
 
 @dataclass(frozen=True)
 class ShellParams:
-    """Local shell patch: radius R, thickness h, modulus E, nu, pressure Pg."""
+    """Local shell patch: radius R, thickness h, modulus E, nu, pressure Pg.
+
+    Pg has no default and is passed by keyword.
+    """
 
     R: float
     h: float
     E: float
     nu: float = DEFAULT_NU
-    Pg: float = 0.0
+    Pg: float = field(kw_only=True)
 
     def __post_init__(self):
         for name in ("R", "h", "E", "Pg"):

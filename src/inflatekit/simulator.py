@@ -24,7 +24,7 @@ corners and one scatter of their forces.  SimState therefore keeps its
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -402,11 +402,15 @@ class SimState:
     _model: _MembraneModel = field(repr=False, compare=False)
     # per-plane contact bookkeeping: (in_contact, incoming COM normal speed)
     contact_state: tuple = ()
+    # False only for arrays the integrator has just built and never writes
+    # again: they are kept as given; a caller's arrays are copied
+    _copy: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, _copy):
         n = len(self._model.masses)
         for name in ("vertices", "velocities"):
-            a = np.array(getattr(self, name), dtype=float, order="F")
+            a = getattr(self, name)
+            a = (np.array if _copy else np.asarray)(a, dtype=float, order="F")
             if a.shape != (n, 3):
                 raise ValidationError(f"{name} must have shape ({n}, 3)")
             a.setflags(write=False)
@@ -472,7 +476,8 @@ def _advance(state: SimState, config: ScenarioConfig, n_steps: int, observe=None
     The one integrator: positions, velocities, time and contact state stay
     local (3, n) arrays and values between steps, and a SimState is built
     only for observe(k, state), called after step k = 1, every every-th
-    step after it and step n_steps, and for the result.  Forces are taken
+    step after it and step n_steps, and for the result; each step builds
+    new x and v, so those states keep them without a copy.  Forces are taken
     at the gas pressure of each step's own volume; a volume at or below
     zero, a collapsed element or a non-finite state raises
     SimulationInstabilityError naming the frame, with numpy's warnings off
@@ -542,10 +547,11 @@ def _advance(state: SimState, config: ScenarioConfig, n_steps: int, observe=None
             if observe is not None and ((k - 1) % every == 0 or k == n_steps):
                 with np.errstate(**caller):
                     observe(k, SimState(vertices=x.T, velocities=v.T, time=time,
-                                        contact_state=tuple(contact), _model=model))
+                                        contact_state=tuple(contact), _model=model,
+                                        _copy=False))
 
         final = SimState(vertices=x.T, velocities=v.T, time=time,
-                         contact_state=tuple(contact), _model=model)
+                         contact_state=tuple(contact), _model=model, _copy=False)
         return final, tuple(episodes)
 
 

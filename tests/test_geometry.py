@@ -79,12 +79,15 @@ class TestLoadMesh:
             load_mesh(path)
 
     def test_save_load_round_trip(self, tmp_path):
-        mesh = icosphere(radius=0.13, subdivisions=2)
-        path = tmp_path / "ball.obj"
-        save_mesh(mesh, path)
-        again = load_mesh(path)
-        np.testing.assert_array_equal(again.vertices, mesh.vertices)
-        np.testing.assert_array_equal(again.faces, mesh.faces)
+        # the noisy scan has 10,242 vertices and 20,480 faces: several
+        # write blocks each
+        for mesh in (icosphere(radius=0.13, subdivisions=2), noisy_icosphere(5, 9)):
+            path = tmp_path / f"{mesh.n_vertices}.obj"
+            save_mesh(mesh, path)
+            again = load_mesh(path)
+            np.testing.assert_array_equal(again.vertices, mesh.vertices)
+            np.testing.assert_array_equal(again.faces, mesh.faces)
+        assert mesh.n_vertices > 2 * geometry.SAVE_BLOCK_ROWS
 
 
 class TestSelectPatch:
@@ -222,6 +225,31 @@ class TestTriMesh:
         assert not TriMesh(vertices=mesh.vertices, faces=mesh.faces[:-1]).is_watertight
 
 
+class TestAnalyticMeshArguments:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("build", [icosahedron, lambda r: icosphere(r, 1)],
+                             ids=["icosahedron", "icosphere"])
+    def test_bad_radius_refused_without_a_warning(self, build, radius):
+        with pytest.raises(ValidationError, match="radius"):
+            build(radius)
+
+    @pytest.mark.parametrize(
+        "subdivisions", [-1, geometry.MAX_SUBDIVISIONS + 1, 20, 2.0, "3", None]
+    )
+    def test_bad_subdivisions_refused_before_building(self, monkeypatch, subdivisions):
+        def unreachable(radius):
+            raise AssertionError("icosphere built a mesh for refused subdivisions")
+
+        monkeypatch.setattr(geometry, "icosahedron", unreachable)
+        with pytest.raises(ValidationError, match="subdivisions"):
+            icosphere(1.0, subdivisions)
+
+    def test_numpy_integer_subdivisions_accepted(self):
+        mesh = icosphere(1.0, np.int64(2))
+        assert (mesh.n_vertices, mesh.n_faces) == (162, 320)
+
+
 # ---------------------------------------------------------------------------
 # Equivalence with the loop implementations the array code replaced.  The
 # references below are the former library code, kept verbatim in logic.
@@ -297,6 +325,38 @@ def reference_load_mesh(path):
     if not vertices:
         raise ParseError("no vertices in file", None, str(path))
     return np.array(vertices, dtype=np.float64), np.array(faces, dtype=np.int64).reshape(-1, 3)
+
+
+def reference_icosphere(radius, subdivisions):
+    mesh = icosahedron(radius)
+    verts = list(map(tuple, mesh.vertices))
+    faces = mesh.faces.tolist()
+    for _ in range(subdivisions):
+        cache = {}
+
+        def midpoint(a, b):
+            key = (min(a, b), max(a, b))
+            if key not in cache:
+                p = (np.array(verts[a]) + np.array(verts[b])) / 2.0
+                p *= radius / np.linalg.norm(p)
+                cache[key] = len(verts)
+                verts.append(tuple(p))
+            return cache[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
+        faces = new_faces
+    return np.array(verts), np.array(faces, dtype=np.int64)
+
+
+def reference_save_mesh(mesh, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for v in mesh.vertices:
+            fh.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
+        for f in mesh.faces:
+            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
 
 
 def noisy_icosphere(subdivisions, seed):
@@ -408,6 +468,25 @@ class TestArrayRewritesMatchLoops:
         got = mesh.boundary_edges()
         assert got == expected
         assert all(type(a) is int and type(b) is int for a, b in got)
+
+    @pytest.mark.parametrize("radius", [0.13, 1.0, 3.0])
+    def test_icosphere_bit_for_bit(self, radius):
+        for subdivisions in range(6):
+            vertices, faces = reference_icosphere(radius, subdivisions)
+            mesh = icosphere(radius, subdivisions)
+            assert np.array_equal(mesh.vertices, vertices)
+            assert np.array_equal(mesh.faces, faces)
+
+    @pytest.mark.parametrize(
+        "mesh",
+        [icosahedron(), icosphere(0.13, 2), noisy_icosphere(4, 8),
+         box_mesh(center=(1e-3, -2.0, 0.5))],
+        ids=["icosahedron", "icosphere-2", "noisy-icosphere-4", "box"],
+    )
+    def test_save_mesh_bytes(self, tmp_path, mesh):
+        save_mesh(mesh, tmp_path / "new.obj")
+        reference_save_mesh(mesh, tmp_path / "old.obj")
+        assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "old.obj").read_bytes()
 
     def test_load_mixed_obj(self, tmp_path):
         lines = [

@@ -78,6 +78,10 @@ class TestShellParams:
         with pytest.raises(ValidationError):
             ShellParams(**kwargs)
 
+    def test_pressure_has_no_default(self):
+        with pytest.raises(TypeError, match="Pg"):
+            ShellParams(0.13, 8.6e-4, 2.3e6)
+
 
 class TestTrivialSolution:
     def test_unindented_state(self):

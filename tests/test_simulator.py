@@ -139,6 +139,21 @@ class TestInit:
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_caller_arrays_are_copied(self, order):
+        state = ball_state()
+        x = np.array(state.vertices, order=order)
+        v = np.full_like(x, 0.25)
+        built = SimState(vertices=x, velocities=v, time=0.0, _model=state._model)
+        x[0, 0] += 1.0
+        v[:] = -3.0
+        np.testing.assert_array_equal(built.vertices, state.vertices)
+        assert (built.velocities == 0.25).all()
+        for after in (built, step(built, FREE_FALL)):
+            for array in (after.vertices, after.velocities):
+                assert not array.flags.writeable
+                assert array.flags.f_contiguous
+
     def test_volume_matches_signed_volume(self):
         state = ball_state(subdivisions=3)
         rng = np.random.default_rng(5)
