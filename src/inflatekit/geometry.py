@@ -44,7 +44,7 @@ CURVATURE_RESIDUAL_WARN = 0.05
 MESH_CACHE_BYTES = 64 * 2**20
 MESH_CACHE_ENTRY_BYTES = 1024
 
-# rows save_mesh formats per write
+# records load_mesh converts per block, and rows save_mesh formats per write
 SAVE_BLOCK_ROWS = 4096
 
 # icosphere(r, 8) has 1,310,720 faces; each level quadruples them
@@ -63,7 +63,15 @@ class TriMesh:
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64))
-        f = np.ascontiguousarray(np.asarray(self.faces, dtype=np.int64))
+        f = np.asarray(self.faces)
+        if f.dtype.kind == "f":
+            # refuse 2.5, nan and inf instead of truncating them to an index
+            with np.errstate(invalid="ignore"):
+                cast = f.astype(np.int64)
+            if not np.array_equal(cast, f):
+                raise ValidationError("face indices must be integers")
+            f = cast
+        f = np.ascontiguousarray(f, dtype=np.int64)
         if v.ndim != 2 or v.shape[1] != 3:
             raise ValidationError(f"vertices must be (n,3), got {v.shape}")
         if f.ndim != 2 or f.shape[1] != 3:
@@ -101,10 +109,19 @@ class TriMesh:
         """The sorted boundary edges as (a, b) pairs, found once per mesh."""
         n = self.n_vertices
         a, b = _directed_edges(self.faces)
-        # a*n + b orders keys as (a, b) pairs; unique drops repeated edges
-        keys = np.unique(a * n + b)
+        # a*n + b orders keys as (a, b) pairs; sorted, a repeated edge is
+        # dropped where it equals its neighbour
+        keys = a * n
+        keys += b
+        del a, b
+        keys.sort()
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
         a, b = np.divmod(keys, n)
-        open_ = ~np.isin(b * n + a, keys, assume_unique=True)
+        twin = b * n + a
+        # an edge is open where the key at its twin's sorted position differs
+        open_ = keys.take(keys.searchsorted(twin), mode="clip") != twin
         return tuple(zip(a[open_].tolist(), b[open_].tolist()))
 
     @property
@@ -224,49 +241,78 @@ def load_mesh(path) -> TriMesh:
 def _parse_obj(data: bytes, path: Path) -> TriMesh:
     """Parse the OBJ bytes read from path.
 
-    One pass over the lines collects the vertex and face tokens, which are
-    then converted in bulk.  Errors name path and the first offending line,
-    as a line-by-line reader would report them.
+    The records are collected line by line and converted to arrays one block
+    at a time, so a parse holds the arrays it builds and one block of tokens.
+    Errors name path and the first offending line, as a line-by-line reader
+    would report them: a block whose conversion fails ends the read.
     """
-    coords, v_lines = [], []
-    # face index tokens; per face line: line number, index count, vertices
-    # defined before it (negative indices count back from there)
-    tokens, f_lines, f_sizes, f_seen = [], [], [], []
-    truncated = None  # a record too short to parse; collection stops there
+    # the comprehension drops each block of tokens once it is converted
+    blocks = [_convert_block(*block, str(path)) for block in _obj_blocks(data, str(path))]
+    vertices = np.concatenate([v for v, _ in blocks])
+    if not vertices.size:
+        raise ParseError("no vertices in file", None, str(path))
+    faces = np.concatenate([f for _, f in blocks])
+    return TriMesh(vertices=vertices.reshape(-1, 3), faces=faces)
+
+
+def _obj_blocks(data: bytes, path: str):
+    """The v and f records of the OBJ bytes, SAVE_BLOCK_ROWS records a block.
+
+    A block is (coords, v_lines, tokens, f_lines, f_sizes, f_seen): the
+    coordinate tokens and line of each vertex, the index tokens of the
+    faces, and per face line its line number, index count and the vertices
+    defined before it (negative indices count back from there).  A record
+    too short to parse ends the blocks: the records before it are yielded
+    as a last block, and its error is raised when the next one is asked for.
+    """
+    defined = 0  # vertex records so far; the faces after one vertex share its int
+    block = coords, v_lines, tokens, f_lines, f_sizes, f_seen = [], [], [], [], [], []
     # decoded lazily with universal newlines, as open() would: a decoding
-    # error past a truncated record is never reached
+    # error past a truncated record or a failing block is never reached
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.split()
             if not parts:
                 continue
-            tag = parts[0]  # "#..." comments and other records fall through
+            tag = parts[0]
             if tag == "v":
                 if len(parts) < 4:
-                    truncated = ParseError("vertex needs 3 coordinates", lineno, str(path))
-                    break
+                    yield block
+                    raise ParseError("vertex needs 3 coordinates", lineno, path)
                 coords += parts[1:4]
                 v_lines.append(lineno)
+                defined += 1
             elif tag == "f":
                 if len(parts) < 4:
-                    truncated = ParseError("face needs >= 3 indices", lineno, str(path))
-                    break
+                    yield block
+                    raise ParseError("face needs >= 3 indices", lineno, path)
                 if "/" in raw:
                     # only the vertex index of v/vt/vn triplets is used
                     parts = [p.partition("/")[0] for p in parts]
                 tokens += parts[1:]
                 f_lines.append(lineno)
                 f_sizes.append(len(parts) - 1)
-                f_seen.append(len(v_lines))
+                f_seen.append(defined)
+            else:
+                continue  # "#..." comments and other records
+            if len(v_lines) + len(f_lines) == SAVE_BLOCK_ROWS:
+                yield block
+                block = coords, v_lines, tokens, f_lines, f_sizes, f_seen = [], [], [], [], [], []
+    yield block
 
-    # every failure found below lies before `truncated`; the earliest wins,
-    # and a non-integer index beats a zero index on the same line
+
+def _convert_block(coords, v_lines, tokens, f_lines, f_sizes, f_seen, path: str):
+    """The flat vertex coordinates and (k, 3) faces of one block of records.
+
+    Raises the error of the block's first bad line; a non-integer index
+    beats a zero index on the same line.
+    """
     failures = []
     try:
         vertices = np.fromiter(map(float, coords), np.float64, len(coords))
     except ValueError:
         line = v_lines[_first_bad(coords, float)[0] // 3]
-        failures.append((line, ParseError("non-numeric vertex", line, str(path))))
+        failures.append((line, ParseError("non-numeric vertex", line, path)))
     sizes = np.array(f_sizes, dtype=np.int64)
     ends = np.cumsum(sizes)
     try:
@@ -275,34 +321,32 @@ def _parse_obj(data: bytes, path: Path) -> TriMesh:
         k, exc = _first_bad(tokens, lambda t: np.int64(int(t)))
         line = f_lines[np.searchsorted(ends, k, side="right")]
         if isinstance(exc, ValueError):
-            failures.append((line, ParseError("non-integer face index", line, str(path))))
+            failures.append((line, ParseError("non-integer face index", line, path)))
         else:
             failures.append(
                 (line, IndexRangeError(f"{path}:{line}: face index {tokens[k]} overflows"))
             )
-    else:
-        zero = np.flatnonzero(idx == 0)
-        if zero.size:
-            line = f_lines[np.searchsorted(ends, zero[0], side="right")]
-            failures.append(
-                (line, IndexRangeError(f"{path}:{line}: OBJ face indices are 1-based; got 0"))
-            )
+        # the tokens before k convert; a zero among them may come first
+        idx = np.fromiter(map(int, tokens[:k]), np.int64, k)
+    zero = np.flatnonzero(idx == 0)
+    if zero.size:
+        line = f_lines[np.searchsorted(ends, zero[0], side="right")]
+        failures.append(
+            (line, IndexRangeError(f"{path}:{line}: OBJ face indices are 1-based; got 0"))
+        )
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    if truncated is not None:
-        raise truncated
-    if not coords:
-        raise ParseError("no vertices in file", None, str(path))
 
-    resolved = np.where(idx > 0, idx - 1, np.repeat(np.array(f_seen, dtype=np.int64), sizes) + idx)
+    # 1-based to 0-based, and negative indices counted back, in place
+    np.subtract(idx, 1, out=idx, where=idx > 0)
+    np.add(idx, np.repeat(np.array(f_seen, dtype=np.int64), sizes), out=idx, where=idx < 0)
+    if (sizes == 3).all():
+        return vertices, idx.reshape(-1, 3)
     # fan: polygon (r0, r1, ..., rk) -> triangles (r0, r_j, r_j+1)
     n_tri = sizes - 2
     first = np.repeat(ends - sizes, n_tri)
     fan = np.arange(len(first)) - np.repeat(np.cumsum(n_tri) - n_tri, n_tri)
-    faces = np.stack(
-        [resolved[first], resolved[first + fan + 1], resolved[first + fan + 2]], axis=1
-    )
-    return TriMesh(vertices=vertices.reshape(-1, 3), faces=faces)
+    return vertices, np.stack([idx[first], idx[first + fan + 1], idx[first + fan + 2]], axis=1)
 
 
 def _first_bad(tokens, convert):
@@ -337,6 +381,8 @@ def select_patch(mesh: TriMesh, seed: int, radius_hint: float) -> SurfacePatch:
     Graph distance approximates the geodesic ball; exact geodesics are not
     needed at the 5% curvature accuracy this feeds into.
     """
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise ValidationError(f"seed must be an integer vertex index, got {seed!r}")
     if not (0 <= seed < mesh.n_vertices):
         raise IndexRangeError(f"seed {seed} out of range [0, {mesh.n_vertices})")
     positive("radius_hint", radius_hint)

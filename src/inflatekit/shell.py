@@ -33,7 +33,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_bvp
 from scipy.optimize import brentq
 
 from .errors import NonConvergenceError, ValidationError, positive
@@ -278,6 +277,14 @@ def _base_grid(membrane: bool, tau: float) -> np.ndarray:
         return rho
     n = math.ceil((RHO_INF - rho[k]) / h_max)
     return np.concatenate([rho[:k], np.linspace(rho[k], RHO_INF, n + 1)])
+
+
+def solve_bvp(*args, **kwargs):
+    """scipy.integrate.solve_bvp, imported on the first solve: a process
+    that never solves a shell does not load scipy.integrate."""
+    from scipy.integrate import solve_bvp
+
+    return solve_bvp(*args, **kwargs)
 
 
 class _ContinuationState:

@@ -3,6 +3,7 @@
 import heapq
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,21 @@ class TestSelectPatch:
         mesh = icosphere(radius=1.0, subdivisions=2)
         with pytest.raises(IndexRangeError):
             select_patch(mesh, seed=mesh.n_vertices, radius_hint=0.5)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [1.5, 2.0, np.float64(3.0), True, np.bool_(True), "3", None],
+        ids=["float", "integral-float", "numpy-float", "bool", "numpy-bool", "str", "None"],
+    )
+    def test_seed_must_be_an_integer(self, seed):
+        mesh = icosphere(radius=1.0, subdivisions=2)
+        with pytest.raises(ValidationError, match="seed must be an integer vertex index"):
+            select_patch(mesh, seed, 0.5)
+
+    def test_numpy_integer_seed_accepted(self):
+        mesh = icosphere(radius=1.0, subdivisions=3)
+        patch = select_patch(mesh, np.int32(5), 0.5)
+        assert patch.vertex_ids == select_patch(mesh, 5, 0.5).vertex_ids
 
     @pytest.mark.parametrize("radius_hint", [math.inf, math.nan, 0.0, -0.5])
     def test_radius_hint_must_be_finite_and_positive(self, radius_hint):
@@ -219,6 +235,18 @@ class TestTriMesh:
         with pytest.raises(ValidationError, match="finite"):
             TriMesh(vertices=vertices, faces=icosahedron().faces)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [2.5, -0.5, math.nan, math.inf, -math.inf, 1e19])
+    def test_non_integral_face_index_rejected(self, bad):
+        # 2.5 used to be truncated to index 2
+        with pytest.raises(ValidationError, match="face indices must be integers"):
+            TriMesh(vertices=np.zeros((3, 3)), faces=[[0.0, 1.0, bad]])
+
+    def test_integral_float_faces_accepted(self):
+        mesh = TriMesh(vertices=icosahedron().vertices, faces=icosahedron().faces.astype(float))
+        assert mesh.faces.dtype == np.int64
+        np.testing.assert_array_equal(mesh.faces, icosahedron().faces)
+
     def test_watertight_flags(self):
         mesh = icosphere(radius=1.0, subdivisions=1)
         assert mesh.is_watertight
@@ -260,6 +288,16 @@ def reference_boundary_edges(faces):
     edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
     fwd = set(map(tuple, edges.tolist()))
     return sorted(e for e in fwd if (e[1], e[0]) not in fwd)
+
+
+def reference_unique_boundary_edges(faces, n):
+    """The former array boundary pass: np.unique of the edge keys, then
+    np.isin of their twins."""
+    a, b = faces.ravel(), faces[:, [1, 2, 0]].ravel()
+    keys = np.unique(a * n + b)
+    a, b = np.divmod(keys, n)
+    open_ = ~np.isin(b * n + a, keys, assume_unique=True)
+    return tuple(zip(a[open_].tolist(), b[open_].tolist()))
 
 
 def reference_patch_distances(mesh, seed, radius_hint):
@@ -549,6 +587,155 @@ class TestArrayRewritesMatchLoops:
         assert f":{line}:" in str(err.value)
         if isinstance(err.value, ParseError):
             assert err.value.line == line
+
+
+def _open_icosphere():
+    mesh = icosphere(1.0, 4)
+    keep = np.random.default_rng(3).random(mesh.n_faces) < 0.7
+    return TriMesh(vertices=mesh.vertices, faces=mesh.faces[keep])
+
+
+def _repeated_edges():
+    mesh = icosphere(1.0, 2)
+    # a doubled face, a flipped copy and a third face on one edge
+    extra = [mesh.faces[0], mesh.faces[3], mesh.faces[5, ::-1],
+             [mesh.faces[9, 1], mesh.faces[9, 0], 0]]
+    return TriMesh(vertices=mesh.vertices, faces=np.vstack([mesh.faces[2:], extra]))
+
+
+class TestSortedBoundaryPass:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            _open_icosphere,
+            _repeated_edges,
+            lambda: TriMesh(vertices=icosahedron().vertices, faces=np.empty((0, 3), dtype=np.int64)),
+            lambda: TriMesh(vertices=np.zeros((0, 3)), faces=np.empty((0, 3), dtype=np.int64)),
+            lambda: TriMesh(vertices=np.eye(3), faces=[[0, 1, 2]]),
+            lambda: TriMesh(vertices=np.eye(3), faces=[[0, 1, 2], [0, 1, 2], [2, 1, 0]]),
+            lambda: noisy_icosphere(4, 2),
+        ],
+        ids=["open-icosphere", "repeated-edges", "zero-faces", "empty", "one-triangle",
+             "doubled-and-flipped", "closed"],
+    )
+    def test_matches_the_unique_isin_pass(self, build):
+        mesh = build()
+        expected = reference_unique_boundary_edges(mesh.faces, mesh.n_vertices)
+        assert mesh._boundary_edges == expected
+        assert mesh.boundary_edges() == reference_boundary_edges(mesh.faces)
+        assert mesh.is_watertight == (not expected)
+
+
+BLOCK = geometry.SAVE_BLOCK_ROWS
+
+
+def _records(n_vertices, n_faces):
+    """n_vertices distinct vertex records, then n_faces triangles over them."""
+    lines = [f"v {k % 7} {k // 7 % 13} {k * 0.001!r}" for k in range(n_vertices)]
+    lines += [f"f {k + 1} {k + 2} {k + 3}" for k in (j % (n_vertices - 2) for j in range(n_faces))]
+    return lines
+
+
+def _write_blocks(tmp_path, lines, tail=b""):
+    """An OBJ file of more than one block of records."""
+    assert sum(line.split()[0] in ("v", "f") for line in lines if line.split()) > BLOCK
+    path = tmp_path / "blocks.obj"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8") + tail)
+    return path
+
+
+def _assert_error_as_reference(path, line):
+    with pytest.raises((ParseError, IndexRangeError)) as expected:
+        reference_load_mesh(path)
+    with pytest.raises(type(expected.value)) as err:
+        load_mesh(path)
+    assert str(err.value) == str(expected.value)
+    assert f":{line}:" in str(err.value)
+    if isinstance(err.value, ParseError):
+        assert err.value.line == line
+
+
+class TestBlockParsing:
+    """Files of several SAVE_BLOCK_ROWS blocks parse as a line-by-line reader
+    would read them."""
+
+    @pytest.mark.parametrize(
+        "counts, record, bad",
+        [
+            ((4500, 600), 4300, "v 0 z 1"),
+            ((3000, 2000), 4500, "f 1 2 x"),
+            ((3000, 2000), 4500, "f 1 0 3"),
+        ],
+        ids=["non-numeric-vertex", "non-integer-index", "zero-index"],
+    )
+    def test_first_bad_record_after_the_first_block(self, tmp_path, mesh_cache, counts, record, bad):
+        lines = _records(*counts)
+        lines[record] = bad
+        lines[-10] = "f 1 2 y"  # a later failure in the same block
+        _assert_error_as_reference(_write_blocks(tmp_path, lines), record + 1)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("f 1 2 x", "v 0 z 1"), ("v 0 z 1", "f 1 2 x"), ("f 1 0 3", "f 1 2 x"),
+         ("f 1 2 x", "f 1 0 3"), ("f 1 0 3", "v 0 z 1")],
+        ids=["face-then-vertex", "vertex-then-face", "zero-then-non-integer",
+             "non-integer-then-zero", "zero-then-vertex"],
+    )
+    def test_earliest_failure_in_one_block_wins(self, tmp_path, mesh_cache, first, second):
+        # the second block holds faces, then vertices, then faces again
+        faces = _records(100, 300)[100:]
+        lines = _records(4200, 0) + faces + _records(100, 0) + faces
+        lines[4250], lines[4550] = first, second
+        _assert_error_as_reference(_write_blocks(tmp_path, lines), 4251)
+
+    def test_negative_indices_and_fans_across_a_block_boundary(self, tmp_path, mesh_cache):
+        lines = _records(BLOCK - 16, 0)
+        for k in range(60):
+            lines += [f"v {k} 0.5 -1", "f -1 -2 -3", "f -4 -3 -2 -1",
+                      f"f {k + 1} {k + 3} {k + 2} {k + 5} {k + 4}"]
+        lines += _records(BLOCK, BLOCK)[BLOCK:]
+        path = _write_blocks(tmp_path, lines)
+        vertices, faces = reference_load_mesh(path)
+        mesh = load_mesh(path)
+        np.testing.assert_array_equal(mesh.vertices, vertices)
+        np.testing.assert_array_equal(mesh.faces, faces)
+        assert mesh.n_faces == 60 * (1 + 2 + 3) + BLOCK
+
+    @pytest.mark.parametrize(
+        "edits, line",
+        [
+            ({5000: "v 1 1"}, 5001),
+            ({5000: "f 1 2"}, 5001),
+            ({4900: "v 0 z 1", 5000: "v 1 1"}, 4901),
+            ({5000: "v 1 1", 5100: "v 0 z 1"}, 5001),
+        ],
+        ids=["vertex", "face", "bad-record-before", "bad-record-after"],
+    )
+    def test_truncated_record_in_the_second_block(self, tmp_path, mesh_cache, edits, line):
+        lines = _records(4500, 1000)
+        for k, text in edits.items():
+            lines[k] = text
+        _assert_error_as_reference(_write_blocks(tmp_path, lines), line)
+
+    def test_bad_record_is_reported_before_later_undecodable_bytes(self, tmp_path, mesh_cache):
+        # the block holding the bad record fails before the decoder reaches
+        # the bytes that are not UTF-8
+        lines = _records(3 * BLOCK, 10)
+        lines[5] = "v 0 z 1"
+        _assert_error_as_reference(_write_blocks(tmp_path, lines, tail=b"\xff\n"), 6)
+
+    def test_parse_holds_a_few_times_its_arrays(self, tmp_path):
+        path = tmp_path / "scan.obj"
+        save_mesh(noisy_icosphere(5, 9), path)
+        data = path.read_bytes()
+        tracemalloc.start()
+        try:
+            mesh = geometry._parse_obj(data, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mesh.n_vertices == 10242
+        assert peak < 4 * (mesh.vertices.nbytes + mesh.faces.nbytes)
 
 
 @pytest.fixture

@@ -9,6 +9,11 @@ numerical route (RK45 + nested bisection instead of collocation).
 import dataclasses
 import logging
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +240,33 @@ class TestSolverCounts:
         assert sol.bvp_solves == sum(c.status == 0 for c in calls) > 0
         assert sol.bvp_iterations == sum(c.niter for c in calls)
         assert sol.max_nodes == max(len(c.x) for c in calls) >= len(sol.rho)
+
+    def test_scipy_integrate_loads_on_the_first_solve(self):
+        # a fresh process: importing the package leaves scipy.integrate
+        # unloaded, and every continuation solve goes through shell.solve_bvp
+        script = textwrap.dedent("""
+            import sys
+            from inflatekit import cli, shell
+            assert "scipy.integrate" not in sys.modules
+            calls = []
+            solve = shell.solve_bvp
+
+            def counted(*args, **kwargs):
+                calls.append(solve(*args, **kwargs))
+                return calls[-1]
+
+            shell.solve_bvp = counted
+            params = shell.ShellParams(R=0.13, h=8.6e-4, E=2.3e6, nu=0.4, Pg=1300.0)
+            sol = shell.solve_indentation(params, -1.5)
+            assert "scipy.integrate" in sys.modules
+            assert sol.bvp_solves == sum(c.status == 0 for c in calls) > 0
+            assert sol.bvp_iterations == sum(c.niter for c in calls)
+        """)
+        src = str(Path(shell.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
 
     @pytest.mark.parametrize("membrane", [True, False], ids=["membrane", "full"])
     def test_unindented_state_reports_zero(self, membrane):
