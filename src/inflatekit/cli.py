@@ -99,45 +99,33 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-class _JsonInput:
-    """A JSON input file; a structural fault raises an error naming the file."""
+def _read_json(path):
+    """The data of a JSON file; unreadable JSON raises ParseError naming it."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, line=exc.lineno, path=str(path)) from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply", path=str(path)) from None
+    except ValueError:  # int() refuses an integer of more than 4300 digits
+        raise ParseError("JSON integer too long", path=str(path)) from None
 
-    def __init__(self, path):
-        self.path = path
-        text = Path(path).read_text(encoding="utf-8")
-        try:
-            self.data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.msg, line=exc.lineno, path=str(path)) from None
 
-    def check(self, ok, message):
-        if not ok:
-            raise ValidationError(f"{self.path}: {message}")
+def _check(ok, message):
+    if not ok:
+        raise ValidationError(message)
 
-    def number(self, value, name, kind=(int, float)):
-        # finite as a float: rejects NaN, Infinity and integers beyond its range
-        ok = (
-            isinstance(value, kind)
-            and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max
-        )
-        what = "an integer" if kind is int else "a finite number"
-        self.check(ok, f"{name} must be {what}, got {value!r}")
-        return value
 
-    def vector(self, value, name):
-        self.check(isinstance(value, list) and len(value) == 3, f"{name} must be 3 numbers")
-        return tuple(self.number(v, name) for v in value)
-
-    def table(self, value, name, required, optional=()):
-        """Check value is an object with the required keys and no keys beyond
-        the required and optional ones."""
-        self.check(isinstance(value, dict), f"{name} must be an object")
-        missing = [key for key in required if key not in value]
-        self.check(not missing, f"{name} lacks {missing}")
-        unknown = sorted(set(value) - {*required, *optional})
-        self.check(not unknown, f"unknown {name} keys {unknown}")
-        return value
+def _table(value, name, required, optional=()):
+    """Check value is an object with the required keys and no keys beyond
+    the required and optional ones."""
+    _check(isinstance(value, dict), f"{name} must be an object")
+    missing = [key for key in required if key not in value]
+    _check(not missing, f"{name} lacks {missing}")
+    unknown = sorted(set(value) - {*required, *optional})
+    _check(not unknown, f"unknown {name} keys {unknown}")
+    return value
 
 
 _CALIBRATION_KEYS = ("ks", "fit_r2", "records")
@@ -147,25 +135,18 @@ _RECORD_KEYS = ("measured_Pg", "estimated_Pg_hat")
 def _load_calibration(path) -> Calibration:
     """Calibration JSON (as written by ``calibrate``) -> Calibration.
 
-    A malformed structure or value raises ParseError or ValidationError.
+    Checks the JSON structure; the constructors check the values.
     """
-    doc = _JsonInput(path)
-    data = doc.table(doc.data, "calibration JSON", _CALIBRATION_KEYS)
-    doc.check(isinstance(data["records"], list), "records must be a list")
-    records = []
-    for r in data["records"]:
-        doc.table(r, "calibration record", _RECORD_KEYS)
-        records.append(
-            CalibrationRecord(
-                measured_Pg=doc.number(r["measured_Pg"], "measured_Pg"),
-                estimated_Pg_hat=doc.number(r["estimated_Pg_hat"], "estimated_Pg_hat"),
-            )
-        )
-    return Calibration(
-        ks=doc.number(data["ks"], "ks"),
-        records=tuple(records),
-        fit_r2=doc.number(data["fit_r2"], "fit_r2"),
-    )
+    data = _read_json(path)
+    try:
+        _table(data, "calibration JSON", _CALIBRATION_KEYS)
+        _check(isinstance(data["records"], list), "records must be a list")
+        for r in data["records"]:
+            _table(r, "calibration record", _RECORD_KEYS)
+        records = tuple(CalibrationRecord(**r) for r in data["records"])
+        return Calibration(ks=data["ks"], records=records, fit_r2=data["fit_r2"])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _radius_from_mesh(args) -> float:
@@ -237,55 +218,34 @@ def cmd_solve_shell(args) -> int:
 
 
 _MATERIAL_REQUIRED = ("E", "nu", "h", "density", "Pg0")
-_SCENARIO_OPTIONAL = ("indent", "planes", "gravity", "restitution", "dt", "duration", "damping")
+_CONFIG_KEYS = ("gravity", "restitution", "dt", "duration", "damping")  # ScenarioConfig fields
+_SCENARIO_OPTIONAL = ("indent", "planes", *_CONFIG_KEYS)
 _INDENT_OPTIONAL = ("levels", "axis", "speed")
 
 
 def _parse_scenario(path):
     """Scenario JSON -> (MaterialSpec, ScenarioConfig, indent block or None).
 
-    A malformed structure or value raises ParseError or ValidationError.
+    Checks the JSON structure; the constructors check the values, and
+    indent_virtual ``indent.target_depth`` and ``levels``.
     ``indent.speed`` is accepted and ignored: indentation is quasi-static.
     """
-    doc = _JsonInput(path)
-    check, number, vector, table = doc.check, doc.number, doc.vector, doc.table
-    data = doc.data
-
-    table(data, "scenario JSON", ("material",), _SCENARIO_OPTIONAL)
-    spec = table(data["material"], "material", _MATERIAL_REQUIRED, ("gas_model",))
-    for key in _MATERIAL_REQUIRED:
-        number(spec[key], f"material.{key}")
-    material = MaterialSpec(**spec)
-    indent = data.get("indent")
-    indenter = None
-    if indent is not None:
-        table(indent, "indent", ("vertex", "target_depth"), _INDENT_OPTIONAL)
-        number(indent["target_depth"], "indent.target_depth")
-        if indent.get("levels") is not None:
-            number(indent["levels"], "indent.levels", int)
-        indenter = Indenter(
-            vertex=number(indent["vertex"], "indent.vertex", int),
-            axis=vector(indent.get("axis", [0.0, 0.0, -1.0]), "indent.axis"),
-        )
-    planes = data.get("planes", [])
-    check(isinstance(planes, list), "planes must be a list")
-    for plane in planes:
-        table(plane, "plane", ("point", "normal"))
-    config = ScenarioConfig(
-        gravity=vector(data.get("gravity", [0.0, 0.0, -9.81]), "gravity"),
-        planes=tuple(
-            Plane(
-                point=vector(p["point"], "plane point"),
-                normal=vector(p["normal"], "plane normal"),
-            )
-            for p in planes
-        ),
-        restitution=number(data.get("restitution", 1.0), "restitution"),
-        indenter=indenter,
-        dt=number(data.get("dt", 1e-4), "dt"),
-        duration=number(data.get("duration", 1.0), "duration"),
-        damping=number(data.get("damping", 0.0), "damping"),
-    )
+    data = _read_json(path)
+    try:
+        _table(data, "scenario JSON", ("material",), _SCENARIO_OPTIONAL)
+        spec = _table(data["material"], "material", _MATERIAL_REQUIRED, ("gas_model",))
+        material = MaterialSpec(**spec)
+        fields = {key: data[key] for key in _CONFIG_KEYS if key in data}
+        indent = data.get("indent")
+        if indent is not None:
+            _table(indent, "indent", ("vertex", "target_depth"), _INDENT_OPTIONAL)
+            fields["indenter"] = Indenter(indent["vertex"], indent.get("axis", (0.0, 0.0, -1.0)))
+        planes = data.get("planes", [])
+        _check(isinstance(planes, list), "planes must be a list")
+        planes = tuple(Plane(**_table(p, "plane", ("point", "normal"))) for p in planes)
+        config = ScenarioConfig(planes=planes, **fields)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     return material, config, indent
 
 

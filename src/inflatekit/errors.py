@@ -1,6 +1,10 @@
-"""Exception hierarchy shared by all inflatekit modules, and its one input check."""
+"""Exception hierarchy shared by all inflatekit modules, and its input checks."""
 
 import math
+import numbers
+from decimal import Decimal
+
+import numpy as np
 
 
 class InflatekitError(Exception):
@@ -19,12 +23,8 @@ class ParseError(InflatekitError):
     def __init__(self, message, line=None, path=None):
         self.line = line
         self.path = path
-        prefix = ""
-        if path is not None:
-            prefix += f"{path}:"
-        if line is not None:
-            prefix += f"{line}: "
-        super().__init__(prefix + message)
+        where = ":".join(str(part) for part in (path, line) if part is not None)
+        super().__init__(f"{where}: {message}" if where else message)
 
 
 class InsufficientDataError(ValidationError):
@@ -85,8 +85,63 @@ class RelaxationTimeoutError(InflatekitError):
     exit_code = 3
 
 
-def positive(name, value, error=ValidationError):
-    """value when 0 < value < inf; otherwise raise error naming name."""
-    if not 0 < value < math.inf:  # also false for nan
-        raise error(f"{name} must be finite and > 0, got {value}")
-    return value
+def show(value) -> str:
+    """value as an error message shows it: an integer of more than 15 digits
+    as its leading digits and digit count (str() refuses one beyond 4300
+    digits), a string quoted, a list, tuple or dict by its type and length."""
+    if isinstance(value, int) and not -(10**15) < value < 10**15:
+        sign, digits, _ = Decimal(value).as_tuple()
+        return f"{'-' * sign}{''.join(map(str, digits[:6]))}... ({len(digits)} digits)"
+    if isinstance(value, str):
+        return repr(value)
+    if isinstance(value, (list, tuple, dict)):
+        return f"a {type(value).__name__} of {len(value)}"
+    return f"{value}"
+
+
+def number(name, value) -> float:
+    """value as a float: a real number, not a bool, that is finite as a float."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            result = float(value)
+        except OverflowError:  # an int beyond the float range
+            result = math.inf
+        if math.isfinite(result):
+            return result
+    raise ValidationError(f"{name} must be a finite number, got {show(value)}")
+
+
+def positive(name, value, error=ValidationError) -> float:
+    """number(name, value) when it is > 0; any refused value raises error."""
+    try:
+        result = number(name, value)
+    except ValidationError:
+        result = math.nan
+    if not result > 0:
+        raise error(f"{name} must be finite and > 0, got {show(value)}")
+    return result
+
+
+def vector(name, value) -> tuple:
+    """value as a tuple of 3 floats: a list, tuple or 1-d array of 3 numbers."""
+    sized = isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1
+    if not (sized and len(value) == 3):
+        raise ValidationError(f"{name} must be 3 numbers, got {show(value)}")
+    return tuple(number(f"{name}[{i}]", v) for i, v in enumerate(value))
+
+
+def sequence(name, value, kind) -> tuple:
+    """value as a tuple: a list or tuple of kind instances."""
+    if not (isinstance(value, (list, tuple)) and all(isinstance(v, kind) for v in value)):
+        raise ValidationError(f"{name} must be a sequence of {kind.__name__}, got {show(value)}")
+    return tuple(value)
+
+
+def integer(name, value, low, high, error=ValidationError) -> int:
+    """value as an int: an int or numpy integer, not a bool, in [low, high].
+    A value out of range raises error, any other refused value ValidationError."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {show(value)}")
+    if not low <= value <= high:
+        raise error(f"{name} must be in [{low}, {high}], got {show(value)}")
+    return int(value)

@@ -20,7 +20,6 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
-from decimal import Decimal
 
 import numpy as np
 
@@ -28,7 +27,10 @@ from .errors import (
     InsufficientDataError,
     RankDeficientError,
     ValidationError,
+    number,
     positive,
+    sequence,
+    show,
 )
 from .measurement import IndentationSeries
 from .shell import DEFAULT_NU, WRINKLE_FACTOR
@@ -59,8 +61,8 @@ class CalibrationRecord:
     estimated_Pg_hat: float  # Pa, regress_phat output
 
     def __post_init__(self):
-        positive("measured_Pg", self.measured_Pg)
-        positive("estimated_Pg_hat", self.estimated_Pg_hat)
+        for name in ("measured_Pg", "estimated_Pg_hat"):
+            object.__setattr__(self, name, positive(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -72,10 +74,9 @@ class Calibration:
     fit_r2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        positive("ks", self.ks)
-        if not math.isfinite(self.fit_r2):
-            raise ValidationError(f"fit_r2 must be finite, got {self.fit_r2}")
+        object.__setattr__(self, "records", sequence("records", self.records, CalibrationRecord))
+        object.__setattr__(self, "ks", positive("ks", self.ks))
+        object.__setattr__(self, "fit_r2", number("fit_r2", self.fit_r2))
 
 
 @dataclass(frozen=True)
@@ -178,19 +179,6 @@ def estimate_pressure(series: IndentationSeries, cal: Calibration) -> float:
     return regress_phat(series).Pg_hat / cal.ks
 
 
-def _show_count(n) -> str:
-    """The wrinkle count n as an error message shows it.
-
-    An integer of more than 15 digits becomes its leading digits and its
-    digit count: its full decimal form can be any length, and str() refuses
-    one beyond 4300 digits.
-    """
-    if isinstance(n, int) and not -(10**15) < n < 10**15:
-        sign, digits, _ = Decimal(n).as_tuple()
-        return f"{'-' * sign}{''.join(map(str, digits[:6]))}... ({len(digits)} digits)"
-    return f"{n}"
-
-
 def estimate_modulus_from_wrinkles(
     R: float, h: float, n: float, Pg: float, nu: float = DEFAULT_NU
 ) -> float:
@@ -204,7 +192,8 @@ def estimate_modulus_from_wrinkles(
     for name, value in (("R", R), ("h", h), ("Pg", Pg)):
         positive(name, value)
     if not (n >= 1):
-        raise ValidationError(f"n must be >= 1, got {_show_count(n)}")
+        raise ValidationError(f"n must be >= 1, got {show(n)}")
+    nu = number("nu", nu)
     if not (0 < nu < 0.5):
         raise ValidationError(f"nu must be in (0, 0.5), got {nu}")
     try:
@@ -213,7 +202,7 @@ def estimate_modulus_from_wrinkles(
         e_mod = math.inf
     if not (0 < e_mod < math.inf):
         raise ValidationError(
-            f"modulus E from n = {_show_count(n)} overflows or underflows double precision"
+            f"modulus E from n = {show(n)} overflows or underflows double precision"
         )
     return e_mod
 
@@ -275,7 +264,7 @@ def run_procedure3(
         tau = (n / WRINKLE_FACTOR) ** 2
     except OverflowError:
         raise ValidationError(
-            f"n = {_show_count(n)} is too large: tau = (n / 1.33)^2 overflows"
+            f"n = {show(n)} is too large: tau = (n / 1.33)^2 overflows"
         ) from None
     return Estimate(
         object_id=series.object_id,

@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
     TopologyError,
     ValidationError,
+    integer,
     positive,
 )
 
@@ -381,10 +382,7 @@ def select_patch(mesh: TriMesh, seed: int, radius_hint: float) -> SurfacePatch:
     Graph distance approximates the geodesic ball; exact geodesics are not
     needed at the 5% curvature accuracy this feeds into.
     """
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValidationError(f"seed must be an integer vertex index, got {seed!r}")
-    if not (0 <= seed < mesh.n_vertices):
-        raise IndexRangeError(f"seed {seed} out of range [0, {mesh.n_vertices})")
+    seed = integer("seed", seed, 0, mesh.n_vertices - 1, IndexRangeError)
     positive("radius_hint", radius_hint)
     dist = dijkstra(mesh._edge_graph, directed=True, indices=seed, limit=radius_hint)
     ids = tuple(np.flatnonzero(np.isfinite(dist)).tolist())
@@ -519,11 +517,7 @@ def icosphere(radius: float = 1.0, subdivisions: int = 3) -> TriMesh:
     Each level splits every face into four at its edge midpoints, pushed out
     to the sphere.  subdivisions is an integer in [0, MAX_SUBDIVISIONS].
     """
-    if not (isinstance(subdivisions, (int, np.integer))
-            and 0 <= subdivisions <= MAX_SUBDIVISIONS):
-        raise ValidationError(
-            f"subdivisions must be an integer in [0, {MAX_SUBDIVISIONS}], got {subdivisions!r}"
-        )
+    subdivisions = integer("subdivisions", subdivisions, 0, MAX_SUBDIVISIONS)
     mesh = icosahedron(radius)
     vertices, faces = mesh.vertices, mesh.faces
     for _ in range(subdivisions):

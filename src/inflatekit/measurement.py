@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InsufficientDataError, ParseError, ValidationError, positive
+from .errors import InsufficientDataError, ParseError, ValidationError, positive, sequence
 
 CSV_HEADER = "force_N,depth_m"
 
@@ -39,8 +39,8 @@ class IndentationSample:
     depth: float
 
     def __post_init__(self):
-        positive("force", self.force)
-        positive("depth", self.depth)
+        for name in ("force", "depth"):
+            object.__setattr__(self, name, positive(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class IndentationSeries:
     region_thickness: float  # shell thickness h (m)
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
+        object.__setattr__(self, "samples", sequence("samples", self.samples, IndentationSample))
         if len(self.samples) < MIN_SAMPLES:
             raise InsufficientDataError(
                 f"need at least {MIN_SAMPLES} samples, got {len(self.samples)}"
@@ -87,11 +87,10 @@ class DropTest:
     bounce_height: float
 
     def __post_init__(self):
-        positive("drop_height", self.drop_height)
-        if not (0 < self.bounce_height <= self.drop_height):
-            raise ValidationError(
-                "bounce_height must satisfy 0 < bounce_height <= drop_height"
-            )
+        for name in ("drop_height", "bounce_height"):
+            object.__setattr__(self, name, positive(name, getattr(self, name)))
+        if not self.bounce_height <= self.drop_height:
+            raise ValidationError("bounce_height must be <= drop_height")
 
 
 def restitution_coefficient(test: DropTest) -> float:

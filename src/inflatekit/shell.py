@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import NonConvergenceError, ValidationError, positive
+from .errors import NonConvergenceError, ValidationError, number, positive
 
 _log = logging.getLogger(__name__)
 
@@ -89,7 +89,8 @@ class ShellParams:
 
     def __post_init__(self):
         for name in ("R", "h", "E", "Pg"):
-            positive(name, getattr(self, name))
+            object.__setattr__(self, name, positive(name, getattr(self, name)))
+        object.__setattr__(self, "nu", number("nu", self.nu))
         if not (0 < self.nu < 0.5):
             raise ValidationError(f"nu must be in (0, 0.5), got {self.nu}")
         try:
@@ -180,7 +181,7 @@ class ShellSolution:
 
 def _check_depth(W0: float) -> None:
     # a nan or infinite depth would never end the continuation loop
-    if not (math.isfinite(W0) and W0 <= 0):
+    if not number("W0", W0) <= 0:
         raise ValidationError(f"W0 must be finite and <= 0, got {W0}")
 
 

@@ -31,12 +31,18 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .errors import (
+    IndexRangeError,
     InsufficientDataError,
     RelaxationTimeoutError,
     SimulationInstabilityError,
     TopologyError,
     ValidationError,
+    integer,
+    number,
     positive,
+    sequence,
+    show,
+    vector,
 )
 from .geometry import TriMesh, signed_volume
 from .measurement import IndentationSample, IndentationSeries
@@ -68,12 +74,13 @@ class MaterialSpec:
 
     def __post_init__(self):
         for name in ("E", "h", "density", "Pg0"):
-            positive(name, getattr(self, name))
+            object.__setattr__(self, name, positive(name, getattr(self, name)))
+        object.__setattr__(self, "nu", number("nu", self.nu))
         if not (0 < self.nu < 0.5):
             raise ValidationError(f"nu must be in (0, 0.5), got {self.nu}")
         if self.gas_model not in GAS_MODELS:
             raise ValidationError(
-                f"gas_model must be one of {GAS_MODELS}, got {self.gas_model!r}"
+                f"gas_model must be one of {GAS_MODELS}, got {show(self.gas_model)}"
             )
 
     @property
@@ -87,13 +94,13 @@ class MaterialSpec:
         return self.E * self.nu / (1.0 - self.nu**2)
 
 
-def _unit_vector(vector, message) -> tuple:
-    """vector / |vector|; ValidationError(message) if |vector| is 0 or not finite."""
-    v = np.asarray(vector, dtype=float)
+def _unit_vector(name, value) -> tuple:
+    """vector(name, value) / its norm; ValidationError if the norm is 0 or not finite."""
+    v = np.array(vector(name, value))
     with np.errstate(over="ignore"):  # an overflowing norm is refused below
         norm = np.linalg.norm(v)
     if not 0 < norm < math.inf:
-        raise ValidationError(message)
+        raise ValidationError(f"{name} must be finite and nonzero")
     return tuple(v / norm)
 
 
@@ -105,11 +112,8 @@ class Plane:
     normal: tuple
 
     def __post_init__(self):
-        message = "plane point must be finite, normal finite and nonzero"
-        object.__setattr__(self, "normal", _unit_vector(self.normal, message))
-        if not np.isfinite(self.point).all():
-            raise ValidationError(message)
-        object.__setattr__(self, "point", tuple(float(v) for v in self.point))
+        object.__setattr__(self, "normal", _unit_vector("plane normal", self.normal))
+        object.__setattr__(self, "point", vector("plane point", self.point))
 
 
 @dataclass(frozen=True)
@@ -120,8 +124,8 @@ class Indenter:
     axis: tuple = (0.0, 0.0, -1.0)  # direction of advance (into the surface)
 
     def __post_init__(self):
-        axis = _unit_vector(self.axis, "indenter axis must be finite and nonzero")
-        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "vertex", integer("indenter vertex", self.vertex, 0, math.inf))
+        object.__setattr__(self, "axis", _unit_vector("indenter axis", self.axis))
 
 
 @dataclass(frozen=True)
@@ -137,17 +141,18 @@ class ScenarioConfig:
     damping: float = 0.0  # 1/s viscous rate
 
     def __post_init__(self):
-        object.__setattr__(self, "gravity", tuple(float(g) for g in self.gravity))
-        object.__setattr__(self, "planes", tuple(self.planes))
-        if not np.isfinite(self.gravity).all():
-            raise ValidationError("gravity must be finite")
-        positive("dt", self.dt)
-        if not (0 <= self.duration < math.inf):
-            raise ValidationError("duration must be finite and >= 0")
+        object.__setattr__(self, "gravity", vector("gravity", self.gravity))
+        object.__setattr__(self, "planes", sequence("planes", self.planes, Plane))
+        if not (self.indenter is None or isinstance(self.indenter, Indenter)):
+            raise ValidationError(f"indenter must be an Indenter, got {show(self.indenter)}")
+        for name in ("restitution", "duration", "damping"):
+            object.__setattr__(self, name, number(name, getattr(self, name)))
+        object.__setattr__(self, "dt", positive("dt", self.dt))
         if not (0 < self.restitution <= 1):
-            raise ValidationError("restitution must be in (0, 1]")
-        if not (0 <= self.damping < math.inf):
-            raise ValidationError("damping must be finite and >= 0")
+            raise ValidationError(f"restitution must be in (0, 1], got {self.restitution}")
+        for name in ("duration", "damping"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def _equibiaxial_stretch(material: MaterialSpec, tension: float) -> float:
@@ -601,8 +606,7 @@ def run(state: SimState, config: ScenarioConfig, observe=None, every: int = 1):
     it (k - 1 divisible by every) and the last step.  Bit-identical to
     chaining step over the same number of steps.
     """
-    if not (isinstance(every, int) and every >= 1):
-        raise ValidationError(f"every must be an integer >= 1, got {every!r}")
+    every = integer("every", every, 1, math.inf)
     n_steps = step_count(config)
     final, episodes = _advance(state, config, n_steps, observe, every)
     return final, RunReport(steps=n_steps, contact_episodes=episodes)
@@ -640,16 +644,14 @@ def indent_virtual(
         raise ValidationError("config.indenter must be set")
     if config.planes:
         raise ValidationError("the support is a pinned cap; planes are not supported")
-    positive("target_depth", target_depth, InsufficientDataError)
+    target_depth = positive("target_depth", target_depth, InsufficientDataError)
     ind = config.indenter
-    if not (0 <= ind.vertex < len(state.vertices)):
-        raise ValidationError(f"indenter vertex {ind.vertex} out of range")
+    integer("indenter vertex", ind.vertex, 0, len(state.vertices) - 1, IndexRangeError)
     if n_levels is None:
         n_levels = max(3, math.ceil(target_depth / 0.005))
-    if n_levels < 3:
-        raise InsufficientDataError("need at least 3 depth levels")
+    n_levels = integer("n_levels", n_levels, 3, math.inf, InsufficientDataError)
     if n_levels > MAX_LEVELS:
-        raise ValidationError(f"{n_levels:,} depth levels, above the cap of {MAX_LEVELS:,}")
+        raise ValidationError(f"{show(n_levels)} depth levels, above the cap of {MAX_LEVELS:,}")
 
     axis = np.asarray(ind.axis)
     x = state.vertices.copy(order="F")

@@ -24,6 +24,13 @@ KS = 0.64
 R = 0.13
 H = 8.6e-4
 HUGE_FORCES_ERROR = "forces up to {:.3g} N are too large to fit: their squares overflow double precision"
+# int() refuses a JSON integer of more than 4300 digits, and the JSON
+# decoder recurses once per level of nesting
+LONG_INTEGER_CALIBRATION = '{"ks": 1' + "0" * 5000 + ', "fit_r2": 1.0, "records": []}'
+LONG_INTEGER_SCENARIO = (
+    '{"material": {"E": 1' + "0" * 5000 + ', "nu": 0.4, "h": 1e-3, "density": 1000.0, "Pg0": 1300.0}}'
+)
+DEEP_JSON = "[" * 200_000
 
 
 def write_series(path, Pg, depths=(0.005, 0.010, 0.015), R=R):
@@ -334,6 +341,8 @@ class TestEstimate:
             '{"ks": 0.64, "fit_r2": -Infinity, "records": []}',
             '{"ks": 1' + "0" * 400 + ', "fit_r2": 1.0, "records": []}',
             '{"ks": 0.64,\n "fit_r2": }',
+            LONG_INTEGER_CALIBRATION,
+            DEEP_JSON,
         ],
         ids=[
             "without-records",
@@ -348,6 +357,8 @@ class TestEstimate:
             "infinite-fit-r2",
             "ks-beyond-float-range",
             "bad-json",
+            "integer-of-5001-digits",
+            "nested-200000-deep",
         ],
     )
     def test_malformed_calibration_is_validation_error(self, tmp_path, capsys, text):
@@ -362,7 +373,18 @@ class TestEstimate:
             ]
         )
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(f"error: {cal_path}")
+
+
+@pytest.mark.parametrize("text", [LONG_INTEGER_SCENARIO, DEEP_JSON], ids=["long-integer", "deep"])
+def test_unreadable_scenario_is_refused_before_the_mesh_is_read(tmp_path, capsys, text):
+    # the mesh file is absent: reading it would exit 1
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    argv = ["simulate", "--scenario", str(path), "--mesh", str(tmp_path / "absent.obj"),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: JSON ")
 
 
 def _reject_constant(name):
@@ -994,6 +1016,8 @@ class TestSimulate:
             {"material": MATERIAL, "indent": {"vertex": 0, "target_depth": 0.01, "levels": 2}},
             {"material": MATERIAL, "indent": {"vertex": 0, "target_depth": 0.01, "levels": 100000}},
             {"material": MATERIAL, "indent": {"vertex": 0, "target_depth": 100}},
+            LONG_INTEGER_SCENARIO,
+            DEEP_JSON,
         ],
         ids=[
             "top-level-list",
@@ -1013,11 +1037,13 @@ class TestSimulate:
             "two-levels",
             "levels-above-cap",
             "derived-levels-above-cap",
+            "modulus-of-5001-digits",
+            "nested-200000-deep",
         ],
     )
     def test_malformed_scenario_is_validation_error(self, tmp_path, capsys, data):
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(data))
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
         mesh_path = tmp_path / "ball.obj"
         save_mesh(icosphere(radius=0.13, subdivisions=1), mesh_path)
         code = main(

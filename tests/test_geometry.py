@@ -115,7 +115,7 @@ class TestSelectPatch:
     )
     def test_seed_must_be_an_integer(self, seed):
         mesh = icosphere(radius=1.0, subdivisions=2)
-        with pytest.raises(ValidationError, match="seed must be an integer vertex index"):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
             select_patch(mesh, seed, 0.5)
 
     def test_numpy_integer_seed_accepted(self):

@@ -1,0 +1,207 @@
+"""Every public constructor and entry point owns its value checks.
+
+Hypothesis draws values of every kind (None, bools, ints far beyond the
+float range, nan and infinite floats, short strings, numpy scalars and
+short lists of these) for each field of the input types and for each value
+argument of the entry points.  A value is either refused with an
+InflatekitError or accepted; an accepted number is stored as a float.
+"""
+
+import warnings
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from inflatekit import geometry, simulator
+from inflatekit.errors import InflatekitError, ValidationError
+from inflatekit.estimator import Calibration, CalibrationRecord
+from inflatekit.geometry import icosphere, select_patch
+from inflatekit.measurement import IndentationSample
+from inflatekit.shell import ShellParams
+from inflatekit.simulator import (
+    Indenter,
+    MaterialSpec,
+    Plane,
+    ScenarioConfig,
+    indent_virtual,
+    init_sim,
+    run,
+)
+
+BIG = 10**5000  # str() refuses an int of more than 4300 digits
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-BIG, max_value=BIG)
+    | st.floats()
+    | st.text(max_size=4)
+    | st.floats().map(np.float64)
+    | st.floats(width=32).map(np.float32)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+)
+VALUES = SCALARS | st.lists(SCALARS, max_size=4)
+
+RECORDS = (CalibrationRecord(800.0, 512.0), CalibrationRecord(2000.0, 1280.0))
+VALID = {
+    MaterialSpec: dict(E=2.3e6, nu=0.4, h=1e-3, density=1000.0, Pg0=1300.0,
+                       gas_model="constant_pressure"),
+    Plane: dict(point=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0)),
+    Indenter: dict(vertex=0, axis=(0.0, 0.0, -1.0)),
+    ScenarioConfig: dict(gravity=(0.0, 0.0, -9.81), planes=(), restitution=1.0, indenter=None,
+                         dt=1e-4, duration=1.0, damping=0.0),
+    ShellParams: dict(R=0.13, h=8.6e-4, E=2.3e6, nu=0.4, Pg=1300.0),
+    CalibrationRecord: dict(measured_Pg=800.0, estimated_Pg_hat=512.0),
+    Calibration: dict(ks=0.64, records=RECORDS, fit_r2=1.0),
+    IndentationSample: dict(force=1.0, depth=0.01),
+}
+FIELDS = [(cls, name) for cls, fields in VALID.items() for name in fields]
+VECTORS = {"point", "normal", "axis", "gravity"}
+OBJECTS = {"gas_model", "planes", "indenter", "records"}
+
+
+def build(cls, name, value):
+    return cls(**{**VALID[cls], name: value})
+
+
+@contextmanager
+def warnings_as_errors():
+    """Every warning an error, as filterwarnings("error") makes it, but only
+    around the code under test: hypothesis's report of a failing example
+    imports modules that warn on import."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+@given(field=st.sampled_from(FIELDS), value=VALUES)
+# the inputs of the public-API probe that used to end in an untyped
+# exception or be accepted silently
+@example(field=(ScenarioConfig, "gravity"), value=(0, 0))
+@example(field=(ScenarioConfig, "gravity"), value="abc")
+@example(field=(ScenarioConfig, "gravity"), value=(0.0, True, 0.0))
+@example(field=(ScenarioConfig, "planes"), value=((0, 0, 1),))
+@example(field=(ScenarioConfig, "dt"), value=None)
+@example(field=(ScenarioConfig, "damping"), value=10**400)
+@example(field=(Plane, "point"), value=(0, 0))
+@example(field=(Plane, "point"), value="abc")
+@example(field=(Plane, "normal"), value=(0, 1))
+@example(field=(Indenter, "axis"), value=(0, 1))
+@example(field=(Indenter, "vertex"), value=1.5)
+@example(field=(Indenter, "vertex"), value=True)
+@example(field=(MaterialSpec, "E"), value="abc")
+@example(field=(MaterialSpec, "E"), value=10**400)
+@example(field=(MaterialSpec, "E"), value=True)
+@example(field=(Calibration, "fit_r2"), value=None)
+@example(field=(IndentationSample, "force"), value="1")
+@example(field=(ShellParams, "R"), value="a")
+@settings(max_examples=300, deadline=None)
+def test_constructor_refuses_or_stores_floats(field, value):
+    cls, name = field
+    try:
+        with warnings_as_errors():
+            built = build(cls, name, value)
+    except InflatekitError:
+        return
+    stored = getattr(built, name)
+    if name in VECTORS:
+        assert type(stored) is tuple and len(stored) == 3
+        assert all(type(v) in (float, np.float64) for v in stored)
+    elif name == "vertex":
+        assert type(stored) is int and stored >= 0
+    elif name not in OBJECTS:
+        assert type(stored) is float
+
+
+@pytest.mark.parametrize(
+    "cls, name, value, message",
+    [
+        (MaterialSpec, "E", True, "E must be finite and > 0, got True"),
+        (ScenarioConfig, "damping", 10**400, "damping must be a finite number, got 100000... (401 digits)"),
+        (ScenarioConfig, "gravity", (0.0, True, 0.0), "gravity[1] must be a finite number, got True"),
+        (Plane, "point", "abc", "plane point must be 3 numbers, got 'abc'"),
+        (ScenarioConfig, "planes", ((0, 0, 1),), "planes must be a sequence of Plane, got a tuple of 1"),
+    ],
+    ids=["bool-modulus", "huge-damping", "bool-gravity", "string-point", "tuple-as-plane"],
+)
+def test_refused_value_is_named_in_the_message(cls, name, value, message):
+    with pytest.raises(ValidationError) as err:
+        build(cls, name, value)
+    assert str(err.value) == message
+
+
+class _Accepted(Exception):
+    """Raised in place of the work an entry point starts once its arguments
+    are accepted."""
+
+
+def _accepted(*args, **kwargs):
+    raise _Accepted
+
+
+# built once: each is read only
+BALL = icosphere(radius=0.13, subdivisions=1)
+STATE = init_sim(BALL, MaterialSpec(**{**VALID[MaterialSpec], "gas_model": "isothermal"}))
+SHORT = ScenarioConfig(duration=3e-4)  # three steps
+
+
+def _indent(vertex=0, target_depth=0.01, n_levels=3):
+    config = ScenarioConfig(gravity=(0.0, 0.0, 0.0), indenter=Indenter(vertex=vertex))
+    # the minimisation of the first level would start here
+    with mock.patch.object(simulator, "minimize", _accepted):
+        indent_virtual(STATE, config, target_depth, n_levels)
+
+
+def _icosphere_subdivisions(value):
+    # the first level would be built from the icosahedron
+    with mock.patch.object(geometry, "icosahedron", _accepted):
+        icosphere(1.0, value)
+
+
+ENTRY_POINTS = {
+    "run every": lambda value: run(STATE, SHORT, every=value),
+    "indent_virtual target_depth": lambda value: _indent(target_depth=value),
+    "indent_virtual n_levels": lambda value: _indent(n_levels=value),
+    "indent_virtual vertex": lambda value: _indent(vertex=value),
+    "select_patch seed": lambda value: select_patch(BALL, value, 0.1),
+    "select_patch radius_hint": lambda value: select_patch(BALL, 0, value),
+    "icosphere radius": lambda value: icosphere(value, 0),
+    "icosphere subdivisions": _icosphere_subdivisions,
+}
+
+
+@given(argument=st.sampled_from(sorted(ENTRY_POINTS)), value=VALUES)
+@example(argument="run every", value=True)
+@example(argument="indent_virtual n_levels", value=3.5)
+@example(argument="indent_virtual n_levels", value=BIG)
+@example(argument="indent_virtual vertex", value=BIG)
+@example(argument="indent_virtual vertex", value=1.5)
+@example(argument="select_patch seed", value=1.5)
+@example(argument="select_patch seed", value=BIG)
+@example(argument="select_patch seed", value=-BIG)
+@example(argument="icosphere subdivisions", value=BIG)
+@example(argument="icosphere subdivisions", value=-BIG)
+@example(argument="icosphere subdivisions", value=True)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_entry_point_refuses_or_accepts(argument, value):
+    try:
+        with warnings_as_errors():
+            ENTRY_POINTS[argument](value)
+    except (InflatekitError, _Accepted):
+        pass
+
+
+@pytest.mark.parametrize(
+    "argument, value",
+    [("run every", True), ("icosphere subdivisions", True), ("indent_virtual vertex", True),
+     ("select_patch seed", BIG), ("indent_virtual n_levels", 3.5)],
+    ids=["bool-every", "bool-subdivisions", "bool-vertex", "huge-seed", "fractional-levels"],
+)
+def test_entry_point_refuses_with_a_typed_error(argument, value):
+    with pytest.raises(ValidationError):
+        ENTRY_POINTS[argument](value)

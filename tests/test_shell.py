@@ -99,7 +99,7 @@ class TestTrivialSolution:
         with pytest.raises(ValidationError):
             solve_indentation(BALL, 0.5)
 
-    @pytest.mark.parametrize("W0", [math.nan, -math.inf])
+    @pytest.mark.parametrize("W0", [math.nan, -math.inf, -(10**400), "-1", None, True])
     def test_non_finite_depth_rejected(self, W0):
         with pytest.raises(ValidationError):
             solve_indentation(BALL, W0)
@@ -517,7 +517,7 @@ class TestCapProfile:
         with pytest.raises(ValidationError):
             cap_profile(1.0, 0.0)
 
-    @pytest.mark.parametrize("W0", [math.nan, -math.inf])
+    @pytest.mark.parametrize("W0", [math.nan, -math.inf, -(10**400), "-1", None, True])
     def test_non_finite_depth_rejected(self, W0):
         with pytest.raises(ValidationError):
             cap_profile(W0, 0.0)

@@ -71,7 +71,7 @@ class TestSpecs:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_norm_is_refused_without_a_warning(self):
         # 1.4e154 squared overflows double precision; 1.3e154 does not
-        with pytest.raises(ValidationError, match="normal finite and nonzero"):
+        with pytest.raises(ValidationError, match="plane normal must be finite and nonzero"):
             Plane(point=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.4e154))
         with pytest.raises(ValidationError, match="axis must be finite and nonzero"):
             Indenter(vertex=0, axis=(0.0, 0.0, 1.4e154))
@@ -433,9 +433,23 @@ class TestRun:
         _final, report = run(self.start(), config, observe, every=7)
         assert seen == [i + 1 for i in range(30) if i % 7 == 0 or i == 29] == [1, 8, 15, 22, 29, 30]
         assert report.steps == 30
-        for every in (0, -1, 1.5):
+        for every in (0, -1, 1.5, True):
             with pytest.raises(ValidationError, match="every"):
                 run(self.start(), config, observe, every=every)
+
+    def test_numpy_integer_every_gives_the_same_observations(self):
+        config = replace(self.CONFIG, duration=30 * self.CONFIG.dt)
+
+        def observations(every):
+            seen = []
+            run(self.start(), config, lambda k, state: seen.append((k, state)), every=every)
+            return seen
+
+        want, got = observations(7), observations(np.int64(7))
+        assert [k for k, _ in got] == [k for k, _ in want] == [1, 8, 15, 22, 29, 30]
+        for (_, state), (_, expected) in zip(got, want):
+            np.testing.assert_array_equal(state.vertices, expected.vertices)
+            np.testing.assert_array_equal(state.velocities, expected.velocities)
 
     def test_collapse_raises_the_step_chain_error(self):
         # a fast radial squeeze collapses the enclosed volume a few steps in
