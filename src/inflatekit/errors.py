@@ -137,6 +137,13 @@ def sequence(name, value, kind) -> tuple:
     return tuple(value)
 
 
+def instance(name, value, kind):
+    """value when it is a kind instance."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def integer(name, value, low, high, error=ValidationError) -> int:
     """value as an int: an int or numpy integer, not a bool, in [low, high].
     A value out of range raises error, any other refused value ValidationError."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -189,15 +190,14 @@ def estimate_modulus_from_wrinkles(
     cross-checks.  An E that overflows or underflows double precision
     raises ValidationError.
     """
-    for name, value in (("R", R), ("h", h), ("Pg", Pg)):
-        positive(name, value)
-    if not (n >= 1):
-        raise ValidationError(f"n must be >= 1, got {show(n)}")
+    R, h, Pg = (positive(name, value) for name, value in (("R", R), ("h", h), ("Pg", Pg)))
+    if not (isinstance(n, numbers.Real) and not isinstance(n, bool) and n >= 1):
+        raise ValidationError(f"n must be a number >= 1, got {show(n)}")
     nu = number("nu", nu)
     if not (0 < nu < 0.5):
         raise ValidationError(f"nu must be in (0, 0.5), got {nu}")
     try:
-        e_mod = math.sqrt(12.0 * (1.0 - nu**2)) * (WRINKLE_FACTOR * R / (n * h)) ** 2 * Pg
+        e_mod = math.sqrt(12.0 * (1.0 - nu**2)) * (WRINKLE_FACTOR * R / (float(n) * h)) ** 2 * Pg
     except OverflowError:  # the square, or an int n beyond float range
         e_mod = math.inf
     if not (0 < e_mod < math.inf):

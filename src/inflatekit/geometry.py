@@ -21,8 +21,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
     DegenerateFitError,
@@ -31,6 +29,7 @@ from .errors import (
     ParseError,
     TopologyError,
     ValidationError,
+    instance,
     integer,
     positive,
 )
@@ -63,8 +62,8 @@ class TriMesh:
     faces: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64))
-        f = np.asarray(self.faces)
+        v, f = (_numeric(name, getattr(self, name)) for name in ("vertices", "faces"))
+        v = np.ascontiguousarray(v, dtype=np.float64)
         if f.dtype.kind == "f":
             # refuse 2.5, nan and inf instead of truncating them to an index
             with np.errstate(invalid="ignore"):
@@ -134,9 +133,10 @@ class TriMesh:
         return TriMesh(vertices=vertices, faces=self.faces)
 
     @cached_property
-    def _edge_graph(self) -> csr_matrix:
-        """Edges weighted by their length, stored in both directions so that
-        a directed search needs no transpose; built once."""
+    def _adjacency(self) -> tuple:
+        """The edge graph in CSR form, built once: indptr (n + 1,), and the
+        neighbours and edge lengths of vertex u at indptr[u]:indptr[u + 1].
+        Each edge is stored in both directions."""
         n = self.n_vertices
         a, b = _directed_edges(self.faces)
         a, b = np.divmod(np.unique(np.minimum(a, b) * n + np.maximum(a, b)), n)
@@ -144,12 +144,22 @@ class TriMesh:
         # sqrt(d.d) through the dot kernel, so each length equals
         # np.linalg.norm of its edge vector bit for bit
         length = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
-        # explicit zero lengths (coincident vertices) stay edges in csgraph;
-        # G + G.T would drop them
-        return csr_matrix(
-            (np.concatenate([length, length]), (np.concatenate([a, b]), np.concatenate([b, a]))),
-            shape=(n, n),
-        )
+        tails = np.concatenate([a, b])
+        order = np.argsort(tails, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+        return indptr, np.concatenate([b, a])[order], np.concatenate([length, length])[order]
+
+
+def _numeric(name, value) -> np.ndarray:
+    """value as an array of integers or floats (not bools, strings or objects)."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must be an array of numbers, got {type(value).__name__}")
+    return array
 
 
 def _directed_edges(faces: np.ndarray):
@@ -382,16 +392,42 @@ def select_patch(mesh: TriMesh, seed: int, radius_hint: float) -> SurfacePatch:
     Graph distance approximates the geodesic ball; exact geodesics are not
     needed at the 5% curvature accuracy this feeds into.
     """
+    instance("mesh", mesh, TriMesh)
     seed = integer("seed", seed, 0, mesh.n_vertices - 1, IndexRangeError)
     positive("radius_hint", radius_hint)
-    dist = dijkstra(mesh._edge_graph, directed=True, indices=seed, limit=radius_hint)
-    ids = tuple(np.flatnonzero(np.isfinite(dist)).tolist())
+    ids = tuple(np.flatnonzero(np.isfinite(_graph_distances(mesh, seed, radius_hint))).tolist())
     if len(ids) < MIN_PATCH_VERTICES:
         raise InsufficientPatchError(
             f"only {len(ids)} vertices within {radius_hint} of seed {seed}; "
             f"need >= {MIN_PATCH_VERTICES}"
         )
     return SurfacePatch(mesh=mesh, vertex_ids=ids, seed=seed, radius_hint=radius_hint)
+
+
+def _graph_distances(mesh: TriMesh, seed: int, limit: float) -> np.ndarray:
+    """Shortest edge-path distances from seed, inf beyond limit.
+
+    Relaxes a frontier of the vertices whose distance fell in the last pass,
+    keeping candidates <= limit, until no distance falls.  A distance is the
+    smallest sum d(u) + length(u, v) over the neighbours u of v, added in
+    path order, the value Dijkstra's method finds.
+    """
+    indptr, neighbours, lengths = mesh._adjacency
+    dist = np.full(mesh.n_vertices, np.inf)
+    dist[seed] = 0.0
+    frontier = np.array([seed])
+    while frontier.size:
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        # the CSR entries of every frontier vertex, row after row
+        edges = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+        heads = neighbours[edges]
+        candidate = np.repeat(dist[frontier], counts) + lengths[edges]
+        better = (candidate <= limit) & (candidate < dist[heads])
+        heads = heads[better]
+        np.minimum.at(dist, heads, candidate[better])
+        frontier = np.unique(heads)
+    return dist
 
 
 def _algebraic_sphere_fit(pts: np.ndarray):

@@ -33,8 +33,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._solvers import brentq
 from .errors import NonConvergenceError, ValidationError, number, positive
 
 _log = logging.getLogger(__name__)

@@ -28,8 +28,8 @@ from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
+from ._solvers import brentq, lbfgs
 from .errors import (
     IndexRangeError,
     InsufficientDataError,
@@ -37,6 +37,7 @@ from .errors import (
     SimulationInstabilityError,
     TopologyError,
     ValidationError,
+    instance,
     integer,
     number,
     positive,
@@ -458,6 +459,8 @@ class SimState:
 
 def init_sim(mesh: TriMesh, material: MaterialSpec) -> SimState:
     """Build the initial quiescent state from a watertight inflated mesh."""
+    instance("mesh", mesh, TriMesh)
+    instance("material", material, MaterialSpec)
     if not mesh.is_watertight:
         raise TopologyError(
             "mesh must be watertight for pressure/volume computations",
@@ -565,6 +568,8 @@ def step(state: SimState, config: ScenarioConfig) -> SimState:
 
     Deterministic: identical inputs produce bit-identical successors.
     """
+    instance("state", state, SimState)
+    instance("config", config, ScenarioConfig)
     return _advance(state, config, 1)[0]
 
 
@@ -604,8 +609,13 @@ def run(state: SimState, config: ScenarioConfig, observe=None, every: int = 1):
     Returns (final SimState, RunReport).  observe(k, state), if given, is
     called with the state after step k for k = 1, every every-th step after
     it (k - 1 divisible by every) and the last step.  Bit-identical to
-    chaining step over the same number of steps.
+    chaining step over the same number of steps.  Every argument is checked
+    before the first step.
     """
+    instance("state", state, SimState)
+    instance("config", config, ScenarioConfig)
+    if not (observe is None or callable(observe)):
+        raise ValidationError(f"observe must be callable or None, got {type(observe).__name__}")
     every = integer("every", every, 1, math.inf)
     n_steps = step_count(config)
     final, episodes = _advance(state, config, n_steps, observe, every)
@@ -613,6 +623,11 @@ def run(state: SimState, config: ScenarioConfig, observe=None, every: int = 1):
 
 
 RELAX_FORCE_TOL = 1e-4  # N, max net vertex force at quasi-static equilibrium
+# L-BFGS stops once every force component on a free vertex is at most
+# RELAX_GTOL, so their norm stays below RELAX_FORCE_TOL, or after
+# RELAX_MAX_ITER iterations (the defaults of scipy's L-BFGS-B)
+RELAX_GTOL = RELAX_FORCE_TOL / 2.0
+RELAX_MAX_ITER = 15_000
 
 
 def equivalent_radius(state: SimState) -> float:
@@ -631,7 +646,7 @@ def indent_virtual(
 
     The indenter vertex is pinned at n_levels equal depth increments along
     the axis (by default ceil(target_depth / 5 mm), at least 3; at most
-    MAX_LEVELS).  At each level L-BFGS-B minimises the total potential over
+    MAX_LEVELS).  At each level L-BFGS minimises the total potential over
     the free vertices, starting from the previous level's equilibrium, and
     the constraint reaction force is recorded; a net force of
     RELAX_FORCE_TOL or more left on a free vertex raises
@@ -640,6 +655,8 @@ def indent_virtual(
     simply translate the whole object), so ``config.planes`` must be empty.
     R is the volume-equivalent sphere radius, h the material thickness.
     """
+    instance("state", state, SimState)
+    instance("config", config, ScenarioConfig)
     if config.indenter is None:
         raise ValidationError("config.indenter must be set")
     if config.planes:
@@ -672,21 +689,14 @@ def indent_virtual(
     for level in range(1, n_levels + 1):
         depth = target_depth * level / n_levels
         x[ind.vertex] = state.vertices[ind.vertex] + depth * axis
-        # gtol bounds each force component, so the norm stays below the tol
-        result = minimize(
-            potential,
-            x[free].ravel(),
-            jac=True,
-            method="L-BFGS-B",
-            options={"gtol": RELAX_FORCE_TOL / 2.0, "ftol": 0.0},
-        )
-        x[free] = result.x.reshape(-1, 3)
+        q, iterations = lbfgs(potential, x[free].ravel(), RELAX_GTOL, RELAX_MAX_ITER)
+        x[free] = q.reshape(-1, 3)
         f = model.internal_forces(x) + gravity
         residual = float(np.linalg.norm(f[free], axis=1).max())
         if not residual < RELAX_FORCE_TOL:
             raise RelaxationTimeoutError(
                 f"net vertex force {residual:.3e} N above {RELAX_FORCE_TOL} N at "
-                f"depth {depth} after {result.nit} iterations: {result.message}"
+                f"depth {depth} after {iterations} iterations"
             )
         # the constraint balances the applied force; the indenter feels -f
         reaction = -float(f[ind.vertex] @ axis)

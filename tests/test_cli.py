@@ -3,9 +3,11 @@
 import inspect
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+import textwrap
 import time
 import warnings
 from pathlib import Path
@@ -1203,3 +1205,61 @@ class TestParserReuse:
                 capture_output=True, text=True, timeout=120,
             )
             assert (fresh.returncode, fresh.stdout, fresh.stderr) == run[:3]
+
+
+def test_only_solve_shell_loads_scipy(tmp_path):
+    # a fresh process: the field commands and both kinds of simulate leave
+    # scipy.optimize, scipy.sparse and scipy.integrate unloaded; solve-shell
+    # still runs and loads scipy.integrate
+    ball = icosphere(radius=R, subdivisions=2)
+    save_mesh(ball, tmp_path / "ball.obj")
+    save_mesh(ball.with_vertices(ball.vertices + [0.0, 0.0, R + 0.005]), tmp_path / "drop.obj")
+    material = {"E": 2.3e6, "nu": 0.4, "h": 1e-3, "density": 1000.0, "Pg0": 1300.0}
+    (tmp_path / "drop.json").write_text(json.dumps({
+        "material": material, "planes": [{"point": [0, 0, 0], "normal": [0, 0, 1]}],
+        "restitution": 0.75, "dt": 1e-4, "duration": 0.01,
+    }))
+    top = int(np.argmax(ball.vertices[:, 2]))
+    (tmp_path / "indent.json").write_text(json.dumps({
+        "material": material, "gravity": [0, 0, 0],
+        "indent": {"vertex": top, "target_depth": 0.01, "levels": 3},
+    }))
+    series = write_series(tmp_path / "target.csv", 1300.0)
+    calibration = write_calibration(tmp_path)
+    commands = [
+        ["mesh-info", "--mesh", f"{tmp_path}/ball.obj"],
+        ["estimate", "--series", str(series), "--calibration", str(calibration),
+         "--mesh", f"{tmp_path}/ball.obj", "--seed-vertex", "0", "--patch-radius", "0.08",
+         "--thickness", str(H), "--wrinkles", "8"],
+        ["calibrate", "--series", str(write_series(tmp_path / "c800.csv", 800.0)),
+         "--pressure", "800", "--series", str(write_series(tmp_path / "c2000.csv", 2000.0)),
+         "--pressure", "2000", "--radius", str(R), "--thickness", str(H),
+         "--out", f"{tmp_path}/calibration_again.json"],
+        ["simulate", "--scenario", f"{tmp_path}/drop.json", "--mesh", f"{tmp_path}/drop.obj",
+         "--out", f"{tmp_path}/drop"],
+        ["simulate", "--scenario", f"{tmp_path}/indent.json", "--mesh", f"{tmp_path}/ball.obj",
+         "--out", f"{tmp_path}/indent"],
+    ]
+    shell_argv = ["solve-shell", "--radius", str(R), "--thickness", str(H), "--modulus", "2.3e6",
+                  "--pressure", "1300", "--W0=-0.25", "--out", f"{tmp_path}/shallow"]
+    script = textwrap.dedent("""
+        import json, sys
+        from inflatekit import cli
+
+        def loaded():
+            return [m for m in ("scipy.optimize", "scipy.sparse", "scipy.integrate") if m in sys.modules]
+
+        assert not loaded(), loaded()
+        for argv in json.loads(sys.argv[1]):
+            assert cli.main(argv) == 0, argv
+        assert not loaded(), loaded()
+        assert cli.main(json.loads(sys.argv[2])) == 0
+        assert "scipy.integrate" in sys.modules
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", script, json.dumps(commands), json.dumps(shell_argv)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "indent" / "series.csv").exists()
+    assert (tmp_path / "drop" / "trajectory.csv").exists()

@@ -404,6 +404,21 @@ def noisy_icosphere(subdivisions, seed):
     return TriMesh(vertices=mesh.vertices * radial[:, None], faces=mesh.faces)
 
 
+def coincident_vertex_mesh():
+    """An icosphere plus vertex n, a copy of vertex k joined to the mesh only
+    by a zero-length edge (a degenerate face): (mesh, k, n)."""
+    mesh = icosphere(radius=1.0, subdivisions=2)
+    k, n = max(reference_patch_distances(mesh, 0, 0.8)), mesh.n_vertices
+    dup = TriMesh(
+        vertices=np.vstack([mesh.vertices, mesh.vertices[k]]),
+        faces=np.vstack([mesh.faces, [[k, n, k]]]),
+    )
+    return dup, k, n
+
+
+FRONTIER_MESHES = (noisy_icosphere(2, 3), noisy_icosphere(3, 4), coincident_vertex_mesh()[0])
+
+
 class TestArrayRewritesMatchLoops:
     @pytest.mark.parametrize("subdivisions", [2, 3])
     @pytest.mark.parametrize("mesh_seed", [0, 1])
@@ -429,43 +444,53 @@ class TestArrayRewritesMatchLoops:
     def test_select_patch_keeps_zero_length_edges(self):
         # vertex n duplicates vertex k and is joined to the mesh only by a
         # zero-length edge (a degenerate face); it is at distance 0 from k
-        mesh = icosphere(radius=1.0, subdivisions=2)
-        k, n = max(reference_patch_distances(mesh, 0, 0.8)), mesh.n_vertices
-        vertices = np.vstack([mesh.vertices, mesh.vertices[k]])
-        faces = np.vstack([mesh.faces, [[k, n, k]]])
-        dup = TriMesh(vertices=vertices, faces=faces)
+        dup, k, n = coincident_vertex_mesh()
         expected = tuple(sorted(reference_patch_distances(dup, 0, 0.8)))
         assert n in expected
         assert select_patch(dup, 0, 0.8).vertex_ids == expected
 
     def test_symmetric_graph_gives_the_undirected_distances(self):
-        # the graph is stored in both directions and searched directed; the
+        # the adjacency stores each edge in both directions; the frontier
         # distances equal an undirected search of the one-direction graph
-        mesh = icosphere(radius=1.0, subdivisions=2)
-        k, n = max(reference_patch_distances(mesh, 0, 0.8)), mesh.n_vertices
-        dup = TriMesh(
-            vertices=np.vstack([mesh.vertices, mesh.vertices[k]]),
-            faces=np.vstack([mesh.faces, [[k, n, k]]]),
-        )
+        dup, k, n = coincident_vertex_mesh()
         for mesh in (noisy_icosphere(2, 0), noisy_icosphere(3, 1), dup):
-            graph = mesh._edge_graph
-            upper = graph.tocoo()
-            keep = upper.row < upper.col
+            indptr, neighbours, lengths = mesh._adjacency
+            tails = np.repeat(np.arange(mesh.n_vertices), np.diff(indptr))
+            forward = tails < neighbours
             one_way = csr_matrix(
-                (upper.data[keep], (upper.row[keep], upper.col[keep])), shape=graph.shape
+                (lengths[forward], (tails[forward], neighbours[forward])),
+                shape=(mesh.n_vertices, mesh.n_vertices),
             )
             rng = np.random.default_rng(mesh.n_vertices)
             seeds = [0] + rng.choice(mesh.n_vertices, size=3, replace=False).tolist()
             for seed in seeds:
                 for radius in (0.3, 0.8, 1.4):
                     want = dijkstra(one_way, directed=False, indices=seed, limit=radius)
-                    got = dijkstra(graph, directed=True, indices=seed, limit=radius)
+                    got = geometry._graph_distances(mesh, seed, radius)
                     assert np.array_equal(got, want)
-        # the zero-length edge of the coincident vertices is kept both ways
-        coo = graph.tocoo()
-        stored = set(zip(coo.row.tolist(), coo.col.tolist()))
-        assert {(k, n), (n, k)} <= stored and graph[k, n] == 0.0
-        assert (graph != graph.T).nnz == 0
+        # every edge is stored both ways with one length; the zero-length
+        # edge of the coincident vertices too
+        entries = sorted(zip(tails.tolist(), neighbours.tolist(), lengths.tolist()))
+        assert entries == sorted(zip(neighbours.tolist(), tails.tolist(), lengths.tolist()))
+        assert (k, n, 0.0) in entries
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        which=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+        radius=st.floats(0.0, 2.5),
+    )
+    def test_frontier_distances_equal_dijkstra_and_the_reference(self, which, seed, radius):
+        mesh = FRONTIER_MESHES[which]
+        seed %= mesh.n_vertices
+        indptr, neighbours, lengths = mesh._adjacency
+        graph = csr_matrix((lengths, neighbours, indptr), shape=(mesh.n_vertices,) * 2)
+        got = geometry._graph_distances(mesh, seed, radius)
+        assert np.array_equal(got, dijkstra(graph, directed=True, indices=seed, limit=radius))
+        reached = np.flatnonzero(np.isfinite(got)).tolist()
+        assert dict(zip(reached, got[reached].tolist())) == reference_patch_distances(
+            mesh, seed, radius
+        )
 
     def test_boundary_edges_are_found_once(self, monkeypatch):
         calls = []
@@ -845,12 +870,13 @@ class TestMeshCache:
         path = tmp_path / "scan.obj"
         save_mesh(noisy_icosphere(3, 6), path)
         built = []
+        directed_edges = geometry._directed_edges
 
-        def counting_csr_matrix(*args, **kwargs):
-            built.append(args)
-            return csr_matrix(*args, **kwargs)
+        def counting_directed_edges(faces):
+            built.append(len(faces))
+            return directed_edges(faces)
 
-        monkeypatch.setattr(geometry, "csr_matrix", counting_csr_matrix)
+        monkeypatch.setattr(geometry, "_directed_edges", counting_directed_edges)
         for seed, radius in [(5, 0.6), (5, 0.6), (17, 1.0), (5, 0.6)]:
             mesh = load_mesh(path)
             expected = tuple(sorted(reference_patch_distances(mesh, seed, radius)))

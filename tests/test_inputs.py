@@ -18,9 +18,14 @@ from hypothesis import strategies as st
 
 from inflatekit import geometry, simulator
 from inflatekit.errors import InflatekitError, ValidationError
-from inflatekit.estimator import Calibration, CalibrationRecord
-from inflatekit.geometry import icosphere, select_patch
-from inflatekit.measurement import IndentationSample
+from inflatekit.estimator import (
+    Calibration,
+    CalibrationRecord,
+    estimate_modulus_from_wrinkles,
+    run_procedure3,
+)
+from inflatekit.geometry import TriMesh, icosphere, select_patch
+from inflatekit.measurement import IndentationSample, IndentationSeries
 from inflatekit.shell import ShellParams
 from inflatekit.simulator import (
     Indenter,
@@ -30,6 +35,7 @@ from inflatekit.simulator import (
     indent_virtual,
     init_sim,
     run,
+    step,
 )
 
 BIG = 10**5000  # str() refuses an int of more than 4300 digits
@@ -150,11 +156,24 @@ STATE = init_sim(BALL, MaterialSpec(**{**VALID[MaterialSpec], "gas_model": "isot
 SHORT = ScenarioConfig(duration=3e-4)  # three steps
 
 
-def _indent(vertex=0, target_depth=0.01, n_levels=3):
-    config = ScenarioConfig(gravity=(0.0, 0.0, 0.0), indenter=Indenter(vertex=vertex))
+def _indent(vertex=0, target_depth=0.01, n_levels=3, state=STATE, config=None):
+    if config is None:
+        config = ScenarioConfig(gravity=(0.0, 0.0, 0.0), indenter=Indenter(vertex=vertex))
     # the minimisation of the first level would start here
-    with mock.patch.object(simulator, "minimize", _accepted):
-        indent_virtual(STATE, config, target_depth, n_levels)
+    with mock.patch.object(simulator, "lbfgs", _accepted):
+        indent_virtual(state, config, target_depth, n_levels)
+
+
+def _run(state=STATE, config=SHORT, observe=None):
+    # the first step would be taken here
+    with mock.patch.object(simulator, "_advance", _accepted):
+        run(state, config, observe)
+
+
+SERIES = IndentationSeries(
+    samples=tuple(IndentationSample(force=0.4 * w, depth=w) for w in (0.005, 0.01, 0.015)),
+    object_id="ball", region_radius=0.13, region_thickness=8.6e-4,
+)
 
 
 def _icosphere_subdivisions(value):
@@ -172,6 +191,23 @@ ENTRY_POINTS = {
     "select_patch radius_hint": lambda value: select_patch(BALL, 0, value),
     "icosphere radius": lambda value: icosphere(value, 0),
     "icosphere subdivisions": _icosphere_subdivisions,
+    # object arguments: checked before any step, minimisation or search
+    "run state": lambda value: _run(state=value),
+    "run config": lambda value: _run(config=value),
+    "run observe": lambda value: _run(observe=value),
+    "step state": lambda value: step(value, SHORT),
+    "step config": lambda value: step(STATE, value),
+    "indent_virtual state": lambda value: _indent(state=value),
+    "indent_virtual config": lambda value: _indent(config=value),
+    "init_sim mesh": lambda value: init_sim(value, STATE._model.material),
+    "init_sim material": lambda value: init_sim(BALL, value),
+    "select_patch mesh": lambda value: select_patch(value, 0, 0.1),
+    "TriMesh vertices": lambda value: TriMesh(vertices=value, faces=[[0, 1, 2]]),
+    "TriMesh faces": lambda value: TriMesh(vertices=np.eye(3), faces=value),
+    "estimate_modulus_from_wrinkles n": lambda value: estimate_modulus_from_wrinkles(
+        R=0.13, h=8.6e-4, n=value, Pg=1300.0
+    ),
+    "run_procedure3 n": lambda value: run_procedure3(SERIES, Calibration(**VALID[Calibration]), value),
 }
 
 
@@ -187,7 +223,15 @@ ENTRY_POINTS = {
 @example(argument="icosphere subdivisions", value=BIG)
 @example(argument="icosphere subdivisions", value=-BIG)
 @example(argument="icosphere subdivisions", value=True)
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# the objects of the public-API probe that used to end in an untyped exception
+@example(argument="run config", value=None)
+@example(argument="run observe", value=5)
+@example(argument="TriMesh vertices", value="abc")
+@example(argument="TriMesh faces", value=None)
+@example(argument="estimate_modulus_from_wrinkles n", value="8")
+@example(argument="run_procedure3 n", value="8")
+@example(argument="estimate_modulus_from_wrinkles n", value=True)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_entry_point_refuses_or_accepts(argument, value):
     try:
         with warnings_as_errors():
@@ -205,3 +249,35 @@ def test_entry_point_refuses_or_accepts(argument, value):
 def test_entry_point_refuses_with_a_typed_error(argument, value):
     with pytest.raises(ValidationError):
         ENTRY_POINTS[argument](value)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _run(config=None), "config must be a ScenarioConfig, got NoneType"),
+        (lambda: _run(observe=5), "observe must be callable or None, got int"),
+        (lambda: _run(state=BALL), "state must be a SimState, got TriMesh"),
+        (lambda: step(STATE, None), "config must be a ScenarioConfig, got NoneType"),
+        (lambda: _indent(state=None), "state must be a SimState, got NoneType"),
+        (lambda: _indent(config={}), "config must be a ScenarioConfig, got dict"),
+        (lambda: init_sim(BALL.vertices, STATE._model.material), "mesh must be a TriMesh, got ndarray"),
+        (lambda: init_sim(BALL, VALID[MaterialSpec]), "material must be a MaterialSpec, got dict"),
+        (lambda: select_patch(None, 0, 0.1), "mesh must be a TriMesh, got NoneType"),
+        (lambda: TriMesh(vertices="abc", faces=[[0, 1, 2]]), "vertices must be an array of numbers, got str"),
+        (lambda: TriMesh(vertices=np.eye(3), faces=None), "faces must be an array of numbers, got NoneType"),
+        (lambda: TriMesh(vertices=[[0, 0], [1]], faces=[[0, 1, 2]]), "vertices must be an array of numbers, got list"),
+        (lambda: TriMesh(vertices=np.eye(3), faces=[[True, False, True]]), "faces must be an array of numbers, got list"),
+        (lambda: estimate_modulus_from_wrinkles(R=0.13, h=8.6e-4, n="8", Pg=1300.0), "n must be a number >= 1, got '8'"),
+        (lambda: estimate_modulus_from_wrinkles(R=0.13, h=8.6e-4, n=True, Pg=1300.0), "n must be a number >= 1, got True"),
+        (lambda: run_procedure3(SERIES, Calibration(**VALID[Calibration]), "8"), "n must be a number >= 1, got '8'"),
+    ],
+    ids=["run-config-none", "run-observe-int", "run-mesh-as-state", "step-config-none",
+         "indent-state-none", "indent-config-dict", "init-array-as-mesh", "init-dict-as-material",
+         "patch-mesh-none", "string-vertices", "faces-none", "ragged-vertices", "bool-faces",
+         "string-n", "bool-n", "procedure3-string-n"],
+)
+def test_object_argument_refused_before_any_work(call, message):
+    # _Accepted would escape if the work had started
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from inflatekit import geometry, simulator
 from inflatekit.errors import (
@@ -501,7 +502,7 @@ class TestIndentation:
     def test_levels_above_the_cap_rejected_before_any_minimisation(
         self, monkeypatch, target_depth, n_levels
     ):
-        monkeypatch.setattr(simulator, "minimize", None)  # any minimisation would fail
+        monkeypatch.setattr(simulator, "lbfgs", None)  # any minimisation would fail
         config = ScenarioConfig(gravity=(0.0, 0.0, 0.0), indenter=Indenter(vertex=0))
         with pytest.raises(ValidationError, match="above the cap of 1,000"):
             indent_virtual(ball_state(subdivisions=1), config, target_depth, n_levels)
@@ -686,6 +687,35 @@ def damped_indentation_forces(state, config, target_depth, n_levels, speed=0.01)
     return forces
 
 
+def lbfgsb_indentation_forces(state, config, target_depth, n_levels):
+    """Reaction forces of the former indent_virtual: scipy's L-BFGS-B
+    minimises the same potential over the same free vertices at each level."""
+    model = state._model
+    ind = config.indenter
+    axis = np.asarray(ind.axis)
+    x = state.vertices.copy(order="F")
+    gravity = model.masses[:, None] * np.asarray(config.gravity)
+    centered = x - x.mean(axis=0)
+    free = centered @ axis < np.linalg.norm(centered, axis=1) * math.cos(math.radians(30.0))
+    free[ind.vertex] = False
+
+    def potential(q):
+        x[free] = q.reshape(-1, 3)
+        energy, grad = model.potential(x, gravity)
+        return energy, grad[free].ravel()
+
+    forces = []
+    for level in range(1, n_levels + 1):
+        x[ind.vertex] = state.vertices[ind.vertex] + target_depth * level / n_levels * axis
+        result = minimize(potential, x[free].ravel(), jac=True, method="L-BFGS-B",
+                          options={"gtol": RELAX_FORCE_TOL / 2.0, "ftol": 0.0})
+        x[free] = result.x.reshape(-1, 3)
+        f = model.internal_forces(x) + gravity
+        assert np.linalg.norm(f[free], axis=1).max() < RELAX_FORCE_TOL
+        forces.append(-float(f[ind.vertex] @ axis))
+    return forces
+
+
 GAS_MATERIALS = [
     MATERIAL,
     MaterialSpec(E=2.3e6, nu=0.4, h=1e-3, density=1000.0, Pg0=1300.0, gas_model="isothermal"),
@@ -726,3 +756,37 @@ class TestQuasiStaticIndentation:
         series = indent_virtual(state, config, target_depth=0.015, n_levels=3)
         reference = damped_indentation_forces(state, config, 0.015, 3)
         assert np.abs(np.asarray(series.forces) - reference).max() <= 1e-3
+
+    @pytest.mark.parametrize(
+        "subdivisions, material, gravity, target_depth, n_levels",
+        [
+            *((2, m, g, 0.02, 4) for m in GAS_MATERIALS for g in ((0.0, 0.0, 0.0), (0.0, 0.0, -9.81))),
+            (3, replace(MATERIAL, h=3e-3, Pg0=800.0), (0.0, 0.0, 0.0), 0.035, 5),
+        ],
+        ids=["constant-weightless", "constant-gravity", "isothermal-weightless",
+             "isothermal-gravity", "642-vertices"],
+    )
+    def test_matches_lbfgsb(self, subdivisions, material, gravity, target_depth, n_levels):
+        state = ball_state(material=material, subdivisions=subdivisions)
+        top = int(np.argmax(state.vertices[:, 2]))
+        config = ScenarioConfig(gravity=gravity, indenter=Indenter(vertex=top))
+        series = indent_virtual(state, config, target_depth, n_levels)
+        reference = lbfgsb_indentation_forces(state, config, target_depth, n_levels)
+        assert np.abs(np.asarray(series.forces) - reference).max() <= 1e-3
+
+    @pytest.mark.parametrize("material", GAS_MATERIALS, ids=lambda m: m.gas_model)
+    def test_near_the_tight_equilibrium(self, monkeypatch, material):
+        # 642 vertices under gravity: the two minimisers stop on different
+        # sides inside the force tolerance, up to 1.1e-3 N apart; each is
+        # within 1e-3 N of the equilibrium solved to a 10 times smaller
+        # residual, whichever solver finds it
+        state = ball_state(material=material, subdivisions=3)
+        top = int(np.argmax(state.vertices[:, 2]))
+        config = ScenarioConfig(indenter=Indenter(vertex=top))
+        forces = np.asarray(indent_virtual(state, config, 0.02, 4).forces)
+        reference = lbfgsb_indentation_forces(state, config, 0.02, 4)
+        monkeypatch.setattr(simulator, "RELAX_FORCE_TOL", RELAX_FORCE_TOL / 10.0)
+        monkeypatch.setattr(simulator, "RELAX_GTOL", simulator.RELAX_GTOL / 10.0)
+        tight = np.asarray(indent_virtual(state, config, 0.02, 4).forces)
+        assert np.abs(forces - tight).max() <= 1e-3
+        assert np.abs(reference - tight).max() <= 1e-3
