@@ -140,7 +140,8 @@ def sequence(name, value, kind) -> tuple:
 def instance(name, value, kind):
     """value when it is a kind instance."""
     if not isinstance(value, kind):
-        raise ValidationError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValidationError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
     return value
 
 

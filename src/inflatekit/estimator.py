@@ -20,6 +20,7 @@ import math
 import numbers
 import sys
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
     InsufficientDataError,
     RankDeficientError,
     ValidationError,
+    instance,
     number,
     positive,
     sequence,
@@ -142,6 +144,7 @@ def regress_phat(series: IndentationSeries) -> RegressionResult:
     and ValidationError for depths or forces whose squares overflow or
     underflow double precision.
     """
+    instance("series", series, IndentationSeries)
     forces = np.asarray(series.forces, dtype=float)
     depths = np.asarray(series.depths, dtype=float)
     if np.ptp(depths) == 0.0:
@@ -161,8 +164,10 @@ def regress_phat(series: IndentationSeries) -> RegressionResult:
 
 
 def calibrate_ks(records) -> Calibration:
-    """Fit k_s as the through-origin slope of P_hat against measured Pg."""
-    records = tuple(records)
+    """Fit k_s as the through-origin slope of P_hat against measured Pg;
+    records is any iterable of CalibrationRecord."""
+    instance("records", records, Iterable)
+    records = sequence("records", tuple(records), CalibrationRecord)
     distinct = {r.measured_Pg for r in records}
     if len(distinct) < 2:
         raise InsufficientDataError(
@@ -177,6 +182,7 @@ def calibrate_ks(records) -> Calibration:
 
 def estimate_pressure(series: IndentationSeries, cal: Calibration) -> float:
     """Gauge pressure (Pa): k_s-scaled regression estimate divided by k_s."""
+    instance("cal", cal, Calibration)
     return regress_phat(series).Pg_hat / cal.ks
 
 
@@ -255,6 +261,7 @@ def run_procedure3(
     tau = Pg R^2 / sqrt(E h B) of the estimated (Pg, E).  E follows from n
     by the wrinkle law n = 1.33 sqrt(tau), so tau = (n / 1.33)^2.
     """
+    instance("cal", cal, Calibration)
     reg = regress_phat(series)
     pg = reg.Pg_hat / cal.ks
     e_mod = estimate_modulus_from_wrinkles(

@@ -254,11 +254,11 @@ def _parse_obj(data: bytes, path: Path) -> TriMesh:
 
     The records are collected line by line and converted to arrays one block
     at a time, so a parse holds the arrays it builds and one block of tokens.
-    Errors name path and the first offending line, as a line-by-line reader
-    would report them: a block whose conversion fails ends the read.
+    A record that does not parse ends the read with _first_error: the error
+    of the file's first bad line, as a line-by-line reader reports it.
     """
     # the comprehension drops each block of tokens once it is converted
-    blocks = [_convert_block(*block, str(path)) for block in _obj_blocks(data, str(path))]
+    blocks = [_convert_block(*block, data, str(path)) for block in _obj_blocks(data, str(path))]
     vertices = np.concatenate([v for v, _ in blocks])
     if not vertices.size:
         raise ParseError("no vertices in file", None, str(path))
@@ -269,105 +269,103 @@ def _parse_obj(data: bytes, path: Path) -> TriMesh:
 def _obj_blocks(data: bytes, path: str):
     """The v and f records of the OBJ bytes, SAVE_BLOCK_ROWS records a block.
 
-    A block is (coords, v_lines, tokens, f_lines, f_sizes, f_seen): the
-    coordinate tokens and line of each vertex, the index tokens of the
-    faces, and per face line its line number, index count and the vertices
-    defined before it (negative indices count back from there).  A record
-    too short to parse ends the blocks: the records before it are yielded
-    as a last block, and its error is raised when the next one is asked for.
+    A block is (coords, tokens, f_sizes, f_seen): the coordinate tokens of
+    the vertices, the index tokens of the faces, and per face its index
+    count and the vertices defined before it (negative indices count back
+    from there).  A record too short to parse raises _first_error.
     """
     defined = 0  # vertex records so far; the faces after one vertex share its int
-    block = coords, v_lines, tokens, f_lines, f_sizes, f_seen = [], [], [], [], [], []
+    records = 0  # v and f records so far
+    block = coords, tokens, f_sizes, f_seen = [], [], [], []
     # decoded lazily with universal newlines, as open() would: a decoding
     # error past a truncated record or a failing block is never reached
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for raw in fh:
             parts = raw.split()
             if not parts:
                 continue
             tag = parts[0]
+            if tag != "v" and tag != "f":
+                continue  # "#..." comments and other records
+            if len(parts) < 4:
+                raise _first_error(data, path)
             if tag == "v":
-                if len(parts) < 4:
-                    yield block
-                    raise ParseError("vertex needs 3 coordinates", lineno, path)
                 coords += parts[1:4]
-                v_lines.append(lineno)
                 defined += 1
-            elif tag == "f":
-                if len(parts) < 4:
-                    yield block
-                    raise ParseError("face needs >= 3 indices", lineno, path)
+            else:
                 if "/" in raw:
                     # only the vertex index of v/vt/vn triplets is used
                     parts = [p.partition("/")[0] for p in parts]
                 tokens += parts[1:]
-                f_lines.append(lineno)
                 f_sizes.append(len(parts) - 1)
                 f_seen.append(defined)
-            else:
-                continue  # "#..." comments and other records
-            if len(v_lines) + len(f_lines) == SAVE_BLOCK_ROWS:
+            records += 1
+            if records % SAVE_BLOCK_ROWS == 0:
                 yield block
-                block = coords, v_lines, tokens, f_lines, f_sizes, f_seen = [], [], [], [], [], []
+                block = coords, tokens, f_sizes, f_seen = [], [], [], []
     yield block
 
 
-def _convert_block(coords, v_lines, tokens, f_lines, f_sizes, f_seen, path: str):
+def _convert_block(coords, tokens, f_sizes, f_seen, data: bytes, path: str):
     """The flat vertex coordinates and (k, 3) faces of one block of records.
 
-    Raises the error of the block's first bad line; a non-integer index
-    beats a zero index on the same line.
+    A token that does not convert, or a face index of 0, raises _first_error.
     """
-    failures = []
     try:
         vertices = np.fromiter(map(float, coords), np.float64, len(coords))
-    except ValueError:
-        line = v_lines[_first_bad(coords, float)[0] // 3]
-        failures.append((line, ParseError("non-numeric vertex", line, path)))
-    sizes = np.array(f_sizes, dtype=np.int64)
-    ends = np.cumsum(sizes)
-    try:
         idx = np.fromiter(map(int, tokens), np.int64, len(tokens))
     except (ValueError, OverflowError):
-        k, exc = _first_bad(tokens, lambda t: np.int64(int(t)))
-        line = f_lines[np.searchsorted(ends, k, side="right")]
-        if isinstance(exc, ValueError):
-            failures.append((line, ParseError("non-integer face index", line, path)))
-        else:
-            failures.append(
-                (line, IndexRangeError(f"{path}:{line}: face index {tokens[k]} overflows"))
-            )
-        # the tokens before k convert; a zero among them may come first
-        idx = np.fromiter(map(int, tokens[:k]), np.int64, k)
-    zero = np.flatnonzero(idx == 0)
-    if zero.size:
-        line = f_lines[np.searchsorted(ends, zero[0], side="right")]
-        failures.append(
-            (line, IndexRangeError(f"{path}:{line}: OBJ face indices are 1-based; got 0"))
-        )
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+        raise _first_error(data, path) from None
+    if (idx == 0).any():
+        raise _first_error(data, path)
 
     # 1-based to 0-based, and negative indices counted back, in place
+    sizes = np.array(f_sizes, dtype=np.int64)
     np.subtract(idx, 1, out=idx, where=idx > 0)
     np.add(idx, np.repeat(np.array(f_seen, dtype=np.int64), sizes), out=idx, where=idx < 0)
     if (sizes == 3).all():
         return vertices, idx.reshape(-1, 3)
     # fan: polygon (r0, r1, ..., rk) -> triangles (r0, r_j, r_j+1)
+    ends = np.cumsum(sizes)
     n_tri = sizes - 2
     first = np.repeat(ends - sizes, n_tri)
     fan = np.arange(len(first)) - np.repeat(np.cumsum(n_tri) - n_tri, n_tri)
     return vertices, np.stack([idx[first], idx[first + fan + 1], idx[first + fan + 2]], axis=1)
 
 
-def _first_bad(tokens, convert):
-    """Index of the first token that convert() rejects, and its error."""
-    for k, token in enumerate(tokens):
-        try:
-            convert(token)
-        except (ValueError, OverflowError) as exc:
-            return k, exc
-    raise AssertionError("bulk conversion failed but every token converts")
+def _first_error(data: bytes, path: str) -> ParseError | IndexRangeError:
+    """The error of the first bad record of the OBJ bytes, read line by line.
+
+    Decoded lazily as _obj_blocks decodes, so bytes past the bad record are
+    never decoded.  On a face line a non-integer or an overflowing index is
+    reported in token order, and a zero index after both.
+    """
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            parts = raw.split()
+            if not parts:
+                continue
+            if parts[0] == "v":
+                if len(parts) < 4:
+                    return ParseError("vertex needs 3 coordinates", lineno, path)
+                try:
+                    list(map(float, parts[1:4]))
+                except ValueError:
+                    return ParseError("non-numeric vertex", lineno, path)
+            elif parts[0] == "f":
+                if len(parts) < 4:
+                    return ParseError("face needs >= 3 indices", lineno, path)
+                indices = []
+                for token in (p.partition("/")[0] for p in parts[1:]):
+                    try:
+                        indices.append(np.int64(int(token)))
+                    except ValueError:
+                        return ParseError("non-integer face index", lineno, path)
+                    except OverflowError:
+                        return IndexRangeError(f"{path}:{lineno}: face index {token} overflows")
+                if 0 in indices:
+                    return IndexRangeError(f"{path}:{lineno}: OBJ face indices are 1-based; got 0")
+    raise AssertionError("a block failed to parse but every record parses")
 
 
 def save_mesh(mesh: TriMesh, path) -> None:
@@ -376,6 +374,7 @@ def save_mesh(mesh: TriMesh, path) -> None:
     Coordinates are written as repr() of each float, so load_mesh gives back
     the same arrays bit for bit; rows go out SAVE_BLOCK_ROWS at a time.
     """
+    instance("mesh", mesh, TriMesh)
     with open(path, "w", encoding="utf-8") as fh:
         # one % format per block: %r of a float is its repr, %d of an int its str
         for i in range(0, mesh.n_vertices, SAVE_BLOCK_ROWS):
@@ -450,7 +449,7 @@ def fit_curvature(patch: SurfacePatch) -> dict:
     the geometric (orthogonal) residuals. Residual/radius above 5% warns
     that the patch curvature is non-uniform.
     """
-    pts = patch.points()
+    pts = instance("patch", patch, SurfacePatch).points()
     centroid = pts.mean(axis=0)
     spread = pts - centroid
     bbox = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
@@ -490,7 +489,7 @@ def enclosed_volume(mesh: TriMesh) -> float:
     Returns |sum det(v0,v1,v2)/6|; the sign of the raw sum indicates
     orientation (negative = inward-facing normals).
     """
-    boundary = mesh.boundary_edges()
+    boundary = instance("mesh", mesh, TriMesh).boundary_edges()
     if boundary:
         raise TopologyError(
             f"mesh is not watertight: {len(boundary)} boundary edge(s), "

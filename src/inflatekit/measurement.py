@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InsufficientDataError, ParseError, ValidationError, positive, sequence
+from .errors import InsufficientDataError, ParseError, ValidationError, instance, positive, sequence
 
 CSV_HEADER = "force_N,depth_m"
 
@@ -95,6 +95,7 @@ class DropTest:
 
 def restitution_coefficient(test: DropTest) -> float:
     """Coefficient of restitution sqrt(bounce_height / drop_height)."""
+    instance("test", test, DropTest)
     return math.sqrt(test.bounce_height / test.drop_height)
 
 
@@ -154,6 +155,7 @@ def parse_series(
 
 def serialize_series(series: IndentationSeries, path) -> None:
     """Write a series back to the CSV interchange format."""
+    instance("series", series, IndentationSeries)
     path = Path(path)
     lines = [CSV_HEADER]
     for s in series.samples:

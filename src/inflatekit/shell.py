@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._solvers import brentq
-from .errors import NonConvergenceError, ValidationError, number, positive
+from .errors import NonConvergenceError, ValidationError, instance, number, positive
 
 _log = logging.getLogger(__name__)
 
@@ -173,6 +173,7 @@ class ShellSolution:
 
     def force_newtons(self, params: ShellParams) -> float:
         """Dimensional point force for the given shell parameters."""
+        instance("params", params, ShellParams)
         return self.force * params.Pg * params.capillary_length**2
 
     def min_hoop_stress(self) -> float:
@@ -409,6 +410,8 @@ def solve_indentation(
     The dimensionless force comes from the vertical force balance at the
     inner boundary (the first-integral constant).
     """
+    instance("params", params, ShellParams)
+    instance("options", options, SolverOptions)
     _check_depth(W0)
     if abs(W0) > MAX_DEPTH:
         raise ValidationError(
@@ -429,6 +432,7 @@ def critical_depth(params: ShellParams) -> float:
     (~ -2.53), independent of the dimensional parameters while tau stays
     large; below tau = 10 it warns.
     """
+    instance("params", params, ShellParams)
     if params.tau < 10:
         warnings.warn(
             f"tau = {params.tau:.3g} < 10: membrane limit is questionable",
@@ -461,6 +465,7 @@ def wrinkle_count(params: ShellParams) -> WrinkleCount:
     Rounds half-up to the nearest integer (the observed count is an
     integer; no rounding rule is physically mandated).
     """
+    instance("params", params, ShellParams)
     unrounded = WRINKLE_FACTOR * math.sqrt(params.tau)
     return WrinkleCount(count=int(math.floor(unrounded + 0.5)), unrounded=unrounded)
 
@@ -486,6 +491,7 @@ def cap_profile(W0: float, rho) -> np.ndarray:
 
 def solution_to_csv(sol: ShellSolution, path) -> None:
     """Export profiles as CSV: rho,W,Psi,hoop_stress,radial_stress."""
+    instance("sol", sol, ShellSolution)
     data = np.column_stack([sol.rho, sol.W, sol.Psi, sol.hoop_stress, sol.radial_stress])
     header = "rho,W,Psi,hoop_stress,radial_stress"
     np.savetxt(path, data, delimiter=",", header=header, comments="")

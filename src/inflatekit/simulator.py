@@ -201,19 +201,14 @@ class _MembraneModel:
         e2 = x[i2] - x[i0]
         # in-plane material coordinates of each rest triangle
         l1 = np.linalg.norm(e1, axis=1)
-        if np.any(l1 == 0):
-            bad = int(np.nonzero(l1 == 0)[0][0])
-            raise SimulationInstabilityError(
-                "degenerate rest triangle", face_id=bad, frame=0
-            )
         t1 = e1 / l1[:, None]
         proj = np.einsum("fi,fi->f", e2, t1)
         perp = e2 - proj[:, None] * t1
         l2 = np.linalg.norm(perp, axis=1)
-        if np.any(l2 == 0):
-            bad = int(np.nonzero(l2 == 0)[0][0])
+        degenerate = (l1 == 0) | (l2 == 0)
+        if degenerate.any():
             raise SimulationInstabilityError(
-                "degenerate rest triangle", face_id=bad, frame=0
+                "degenerate rest triangle", face_id=int(degenerate.argmax()), frame=0
             )
         # Face-corner -> vertex incidence.  Corner k of face f is entry
         # k*m + f; per-corner values are kept component-major, (3, 3, m) =
@@ -369,7 +364,10 @@ class _MembraneModel:
         )
         gas = -mat.Pg0 * volume  # -d(gas)/dV is _gas_pressure
         if mat.gas_model == "isothermal":
-            gas = P_ATM * volume - (P_ATM + mat.Pg0) * self.rest_volume * math.log(volume)
+            # measured from the rest volume, so the energy's round-off stays
+            # below the decrease of a step near equilibrium
+            v0 = self.rest_volume
+            gas = P_ATM * (volume - v0) - (P_ATM + mat.Pg0) * v0 * math.log(volume / v0)
         load = self.pressure_offset.T + gravity.T
         forces += load
         work = float((load * x.T).sum())

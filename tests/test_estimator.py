@@ -173,6 +173,11 @@ class TestCalibrateKs:
             with pytest.raises(ValidationError, match="pressure estimates up to 2.4e\\+160 Pa"):
                 calibrate_ks(records)
 
+    def test_any_iterable_of_records(self):
+        records = exact_calibration().records
+        for given in (iter(records), (r for r in records), list(records)):
+            assert calibrate_ks(given) == calibrate_ks(records)
+
     def test_duplicate_pressures_insufficient(self):
         records = [
             CalibrationRecord(measured_Pg=800.0, estimated_Pg_hat=510.0),

@@ -599,6 +599,7 @@ class TestArrayRewritesMatchLoops:
             ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nv 1 1\n", 5),
             ("v 0 0 0\nv 1 0 x\nv 0 1\n", 2),
             ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2 /3\n", 5),
+            ("v 0 0 0\nv 1/2 0 0\nv 0 1 0\nf 1 2 3\n", 2),
         ],
     )
     def test_load_errors_name_the_first_bad_line(self, tmp_path, body, line):
@@ -612,6 +613,26 @@ class TestArrayRewritesMatchLoops:
         assert f":{line}:" in str(err.value)
         if isinstance(err.value, ParseError):
             assert err.value.line == line
+
+
+    @pytest.mark.parametrize(
+        "face, token",
+        [
+            ("f 1 99999999999999999999 3", "99999999999999999999"),
+            ("f 1 -99999999999999999999 3", "-99999999999999999999"),
+            ("f 1 99999999999999999999 x", "99999999999999999999"),
+            ("f 0 99999999999999999999 3", "99999999999999999999"),
+        ],
+        ids=["alone", "negative", "before-non-integer", "after-zero"],
+    )
+    def test_overflowing_index_names_its_line(self, tmp_path, face, token):
+        # int64 indices: the line-by-line reference has no such limit.  Like
+        # a non-integer index, an overflow is reported before a zero index
+        path = tmp_path / "big.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\n# c\nv 0 1 0\n{face}\nf 1 2 x\n", encoding="utf-8")
+        with pytest.raises(IndexRangeError) as err:
+            load_mesh(path)
+        assert str(err.value) == f"{path}:5: face index {token} overflows"
 
 
 def _open_icosphere():
@@ -741,6 +762,20 @@ class TestBlockParsing:
         for k, text in edits.items():
             lines[k] = text
         _assert_error_as_reference(_write_blocks(tmp_path, lines), line)
+
+    def test_valid_file_is_read_once(self, tmp_path, mesh_cache, monkeypatch):
+        # only a bad record sends the parse back to line 1
+        lines = _records(3000, 2000) + ["f 1 2 3 4", "v 0.5 0.5 0.5", "f -1 -2 -3"]
+        path = _write_blocks(tmp_path, lines)
+
+        def fail(data, path):
+            raise AssertionError("a valid file was read again")
+
+        monkeypatch.setattr(geometry, "_first_error", fail)
+        vertices, faces = reference_load_mesh(path)
+        mesh = load_mesh(path)
+        np.testing.assert_array_equal(mesh.vertices, vertices)
+        np.testing.assert_array_equal(mesh.faces, faces)
 
     def test_bad_record_is_reported_before_later_undecodable_bytes(self, tmp_path, mesh_cache):
         # the block holding the bad record fails before the decoder reaches

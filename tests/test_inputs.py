@@ -7,6 +7,7 @@ argument of the entry points.  A value is either refused with an
 InflatekitError or accepted; an accepted number is stored as a float.
 """
 
+import os
 import warnings
 from contextlib import contextmanager
 from unittest import mock
@@ -21,12 +22,33 @@ from inflatekit.errors import InflatekitError, ValidationError
 from inflatekit.estimator import (
     Calibration,
     CalibrationRecord,
+    calibrate_ks,
     estimate_modulus_from_wrinkles,
+    estimate_pressure,
+    regress_phat,
     run_procedure3,
 )
-from inflatekit.geometry import TriMesh, icosphere, select_patch
-from inflatekit.measurement import IndentationSample, IndentationSeries
-from inflatekit.shell import ShellParams
+from inflatekit.geometry import (
+    TriMesh,
+    enclosed_volume,
+    fit_curvature,
+    icosphere,
+    save_mesh,
+    select_patch,
+)
+from inflatekit.measurement import (
+    IndentationSample,
+    IndentationSeries,
+    restitution_coefficient,
+    serialize_series,
+)
+from inflatekit.shell import (
+    ShellParams,
+    critical_depth,
+    solution_to_csv,
+    solve_indentation,
+    wrinkle_count,
+)
 from inflatekit.simulator import (
     Indenter,
     MaterialSpec,
@@ -176,6 +198,17 @@ SERIES = IndentationSeries(
 )
 
 
+CAL = Calibration(**VALID[Calibration])
+PARAMS = ShellParams(**VALID[ShellParams])
+UNINDENTED = solve_indentation(PARAMS, 0.0)  # the exact unindented state: no solve
+
+
+def _save_mesh(mesh):
+    # the file would be opened here
+    with mock.patch.object(geometry, "open", _accepted, create=True):
+        save_mesh(mesh, os.devnull)
+
+
 def _icosphere_subdivisions(value):
     # the first level would be built from the icosahedron
     with mock.patch.object(geometry, "icosahedron", _accepted):
@@ -207,7 +240,7 @@ ENTRY_POINTS = {
     "estimate_modulus_from_wrinkles n": lambda value: estimate_modulus_from_wrinkles(
         R=0.13, h=8.6e-4, n=value, Pg=1300.0
     ),
-    "run_procedure3 n": lambda value: run_procedure3(SERIES, Calibration(**VALID[Calibration]), value),
+    "run_procedure3 n": lambda value: run_procedure3(SERIES, CAL, value),
 }
 
 
@@ -269,12 +302,36 @@ def test_entry_point_refuses_with_a_typed_error(argument, value):
         (lambda: TriMesh(vertices=np.eye(3), faces=[[True, False, True]]), "faces must be an array of numbers, got list"),
         (lambda: estimate_modulus_from_wrinkles(R=0.13, h=8.6e-4, n="8", Pg=1300.0), "n must be a number >= 1, got '8'"),
         (lambda: estimate_modulus_from_wrinkles(R=0.13, h=8.6e-4, n=True, Pg=1300.0), "n must be a number >= 1, got True"),
-        (lambda: run_procedure3(SERIES, Calibration(**VALID[Calibration]), "8"), "n must be a number >= 1, got '8'"),
+        (lambda: run_procedure3(SERIES, CAL, "8"), "n must be a number >= 1, got '8'"),
+        (lambda: fit_curvature(None), "patch must be a SurfacePatch, got NoneType"),
+        (lambda: enclosed_volume(None), "mesh must be a TriMesh, got NoneType"),
+        (lambda: _save_mesh(None), "mesh must be a TriMesh, got NoneType"),
+        (lambda: regress_phat(None), "series must be an IndentationSeries, got NoneType"),
+        (lambda: calibrate_ks(None), "records must be an Iterable, got NoneType"),
+        (lambda: calibrate_ks(iter(RECORDS + (None,))),
+         "records must be a sequence of CalibrationRecord, got a tuple of 3"),
+        (lambda: estimate_pressure(SERIES, None), "cal must be a Calibration, got NoneType"),
+        (lambda: estimate_pressure(None, CAL), "series must be an IndentationSeries, got NoneType"),
+        (lambda: run_procedure3(SERIES, None, 8), "cal must be a Calibration, got NoneType"),
+        (lambda: run_procedure3(None, CAL, 8), "series must be an IndentationSeries, got NoneType"),
+        (lambda: solve_indentation(None, -1.0), "params must be a ShellParams, got NoneType"),
+        (lambda: solve_indentation(PARAMS, -1.0, None), "options must be a SolverOptions, got NoneType"),
+        (lambda: critical_depth(None), "params must be a ShellParams, got NoneType"),
+        (lambda: wrinkle_count(None), "params must be a ShellParams, got NoneType"),
+        (lambda: solution_to_csv(None, os.devnull), "sol must be a ShellSolution, got NoneType"),
+        (lambda: UNINDENTED.force_newtons(None), "params must be a ShellParams, got NoneType"),
+        (lambda: serialize_series(None, os.devnull), "series must be an IndentationSeries, got NoneType"),
+        (lambda: restitution_coefficient(None), "test must be a DropTest, got NoneType"),
     ],
     ids=["run-config-none", "run-observe-int", "run-mesh-as-state", "step-config-none",
          "indent-state-none", "indent-config-dict", "init-array-as-mesh", "init-dict-as-material",
          "patch-mesh-none", "string-vertices", "faces-none", "ragged-vertices", "bool-faces",
-         "string-n", "bool-n", "procedure3-string-n"],
+         "string-n", "bool-n", "procedure3-string-n", "fit-patch-none", "volume-mesh-none",
+         "save-mesh-none", "regress-series-none", "calibrate-records-none",
+         "calibrate-record-none", "pressure-cal-none", "pressure-series-none",
+         "procedure3-cal-none", "procedure3-series-none", "solve-params-none",
+         "solve-options-none", "critical-params-none", "wrinkle-params-none", "csv-solution-none",
+         "force-params-none", "serialize-series-none", "restitution-test-none"],
 )
 def test_object_argument_refused_before_any_work(call, message):
     # _Accepted would escape if the work had started

@@ -120,6 +120,19 @@ class TestInit:
             init_sim(open_mesh, MATERIAL)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_degenerate_rest_triangle_names_its_first_face(self):
+        mesh = icosphere(radius=0.13, subdivisions=1)
+        x = mesh.vertices.copy()
+        a, b = mesh.faces[5, :2]
+        x[b] = x[a]
+        f = mesh.faces
+        e1, e2 = x[f[:, 1]] - x[f[:, 0]], x[f[:, 2]] - x[f[:, 0]]
+        zero = (np.linalg.norm(e1, axis=1) == 0) | (np.linalg.norm(e2, axis=1) == 0)
+        with pytest.raises(SimulationInstabilityError, match="degenerate rest triangle") as err:
+            init_sim(mesh.with_vertices(x), MATERIAL)
+        assert (err.value.face_id, err.value.frame) == (int(np.flatnonzero(zero)[0]), 0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_set_up_is_refused_without_a_warning(self):
         with pytest.raises(ValidationError, match="non-finite membrane forces"):
             ball_state(subdivisions=1, material=replace(MATERIAL, h=4e301))
@@ -773,6 +786,19 @@ class TestQuasiStaticIndentation:
         series = indent_virtual(state, config, target_depth, n_levels)
         reference = lbfgsb_indentation_forces(state, config, target_depth, n_levels)
         assert np.abs(np.asarray(series.forces) - reference).max() <= 1e-3
+
+    def test_isothermal_relaxes_to_a_hundredth_of_the_force_tolerance(self, monkeypatch):
+        # 642 vertices under gravity: the gas energy is measured from the
+        # rest volume, so its round-off stays below the decrease of a step
+        # with a residual near 1e-6 N
+        state = ball_state(material=GAS_MATERIALS[1], subdivisions=3)
+        top = int(np.argmax(state.vertices[:, 2]))
+        config = ScenarioConfig(indenter=Indenter(vertex=top))
+        forces = np.asarray(indent_virtual(state, config, 0.02, 4).forces)
+        monkeypatch.setattr(simulator, "RELAX_FORCE_TOL", RELAX_FORCE_TOL / 100.0)
+        monkeypatch.setattr(simulator, "RELAX_GTOL", simulator.RELAX_GTOL / 100.0)
+        tight = np.asarray(indent_virtual(state, config, 0.02, 4).forces)
+        assert np.abs(forces - tight).max() <= 1e-3
 
     @pytest.mark.parametrize("material", GAS_MATERIALS, ids=lambda m: m.gas_model)
     def test_near_the_tight_equilibrium(self, monkeypatch, material):
