@@ -268,7 +268,8 @@ def run_procedure3(
         R=series.region_radius, h=series.region_thickness, n=n, Pg=pg, nu=nu
     )
     try:
-        tau = (n / WRINKLE_FACTOR) ** 2
+        # a float, so that a numpy n overflows with an error, not a warning
+        tau = (float(n) / WRINKLE_FACTOR) ** 2
     except OverflowError:
         raise ValidationError(
             f"n = {show(n)} is too large: tau = (n / 1.33)^2 overflows"

@@ -32,6 +32,7 @@ from .errors import (
     instance,
     integer,
     positive,
+    show,
 )
 
 MIN_PATCH_VERTICES = 10
@@ -40,7 +41,8 @@ MIN_PATCH_VERTICES = 10
 CURVATURE_RESIDUAL_WARN = 0.05
 
 # bytes the load_mesh cache may hold: the vertex and face arrays of each
-# mesh plus MESH_CACHE_ENTRY_BYTES for the Python objects around them
+# mesh, a bound on its edge graph and MESH_CACHE_ENTRY_BYTES for the Python
+# objects around them
 MESH_CACHE_BYTES = 64 * 2**20
 MESH_CACHE_ENTRY_BYTES = 1024
 
@@ -177,6 +179,20 @@ class SurfacePatch:
     radius_hint: float
 
     def __post_init__(self):
+        n = instance("mesh", self.mesh, TriMesh).n_vertices
+        ids = _numeric("vertex_ids", self.vertex_ids)
+        if ids.ndim != 1 or ids.size and ids.dtype.kind not in "iu":
+            raise ValidationError(
+                f"vertex_ids must be a sequence of integers, got {show(self.vertex_ids)}"
+            )
+        # a negative id would wrap to a vertex from the end
+        if ids.size and not (ids.min() >= 0 and ids.max() < n):
+            raise IndexRangeError(
+                f"vertex_ids must be in [0, {n - 1}], got min={ids.min()}, max={ids.max()}"
+            )
+        object.__setattr__(self, "vertex_ids", tuple(ids.tolist()))
+        object.__setattr__(self, "seed", integer("seed", self.seed, 0, n - 1, IndexRangeError))
+        object.__setattr__(self, "radius_hint", positive("radius_hint", self.radius_hint))
         if len(self.vertex_ids) < MIN_PATCH_VERTICES:
             raise InsufficientPatchError(
                 f"patch has {len(self.vertex_ids)} vertices; "
@@ -204,7 +220,11 @@ class _MeshCache:
 
     @staticmethod
     def charge(mesh: TriMesh) -> int:
-        return mesh.vertices.nbytes + mesh.faces.nbytes + MESH_CACHE_ENTRY_BYTES
+        # the arrays, and a bound on the edge graph select_patch keeps on the
+        # mesh: indptr, and a neighbour and a length per stored edge end, at
+        # most 6 per face
+        graph = 8 * (mesh.n_vertices + 1) + 16 * 6 * mesh.n_faces
+        return mesh.vertices.nbytes + mesh.faces.nbytes + graph + MESH_CACHE_ENTRY_BYTES
 
     def get(self, key: bytes) -> TriMesh | None:
         with self._lock:
@@ -394,7 +414,7 @@ def select_patch(mesh: TriMesh, seed: int, radius_hint: float) -> SurfacePatch:
     instance("mesh", mesh, TriMesh)
     seed = integer("seed", seed, 0, mesh.n_vertices - 1, IndexRangeError)
     positive("radius_hint", radius_hint)
-    ids = tuple(np.flatnonzero(np.isfinite(_graph_distances(mesh, seed, radius_hint))).tolist())
+    ids = np.flatnonzero(np.isfinite(_graph_distances(mesh, seed, radius_hint)))
     if len(ids) < MIN_PATCH_VERTICES:
         raise InsufficientPatchError(
             f"only {len(ids)} vertices within {radius_hint} of seed {seed}; "
@@ -505,16 +525,28 @@ def enclosed_volume(mesh: TriMesh) -> float:
 
 def signed_volume(mesh: TriMesh) -> float:
     """Signed divergence-theorem volume (positive for outward CCW faces)."""
-    # corner coordinates component-major, (xyz, corner, face)
-    x, y, z = mesh.vertices.T.take(mesh.faces.T, axis=1)
+    corners = mesh.vertices.T.take(mesh.faces.T, axis=1)
     # near the float limit the volume is inf or NaN; callers check it
     with np.errstate(over="ignore", invalid="ignore"):
-        det = (
-            x[0] * (y[1] * z[2] - z[1] * y[2])
-            + y[0] * (z[1] * x[2] - x[1] * z[2])
-            + z[0] * (x[1] * y[2] - y[1] * x[2])
-        )
-        return float(det.sum() / 6.0)
+        return _face_geometry(corners)[2]
+
+
+def _face_geometry(corners: np.ndarray):
+    """Edge vectors e = (x1 - x0, x2 - x0) as (3, 2, m), doubled face vector
+    areas n = e1 x e2 as (3, m) and the enclosed volume sum x0.n / 6 of the
+    face corners (3, 3, m) = (xyz, corner, face).
+
+    x0.(e1 x e2) equals x0.(x1 x x2), but the edges are short beside the
+    coordinates, so the volume keeps its digits on a mesh far from the origin.
+    """
+    x0 = corners[:, 0]
+    e = corners[:, 1:] - corners[:, :1]
+    e1, e2 = e[:, 0], e[:, 1]
+    n = np.empty_like(x0)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(e1[j], e2[k], out=n[i])
+        n[i] -= e1[k] * e2[j]
+    return e, n, float(np.einsum("im,im->", x0, n) / 6.0)
 
 
 # ---------------------------------------------------------------------------

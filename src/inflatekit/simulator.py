@@ -45,7 +45,7 @@ from .errors import (
     show,
     vector,
 )
-from .geometry import TriMesh, signed_volume
+from .geometry import TriMesh, _face_geometry, signed_volume
 from .measurement import IndentationSample, IndentationSeries
 
 P_ATM = 101325.0  # Pa
@@ -273,19 +273,11 @@ class _MembraneModel:
         self._last_constants = (None, None)
 
     def _shape(self, xt: np.ndarray):
-        """Face corners (3, 3, m), edge vectors e = (x1 - x0, x2 - x0) as
-        (3, 2, m), doubled face vector areas n = e1 x e2 as (3, m) and the
-        enclosed volume sum x0.n / 6, all from one gather of the (3, n)
-        positions xt."""
+        """Face corners (3, 3, m) from one gather of the (3, n) positions xt,
+        then their edge vectors e (3, 2, m), doubled face vector areas n
+        (3, m) and enclosed volume (geometry._face_geometry)."""
         corners = np.take(xt, self._corner_index).reshape(3, 3, -1)
-        x0 = corners[:, 0]
-        e = corners[:, 1:] - corners[:, :1]
-        e1, e2 = e[:, 0], e[:, 1]
-        n = np.empty_like(x0)
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            np.multiply(e1[j], e2[k], out=n[i])
-            n[i] -= e1[k] * e2[j]
-        return corners, e, n, float(np.einsum("im,im->", x0, n) / 6.0)
+        return (corners, *_face_geometry(corners))
 
     def _forces(self, xt: np.ndarray, pg: float | None, frame: int | None):
         """Elastic plus pressure forces on the (3, n) positions xt.
@@ -638,7 +630,6 @@ def indent_virtual(
     config: ScenarioConfig,
     target_depth: float,
     n_levels: int | None = None,
-    object_id: str = "simulated",
 ) -> IndentationSeries:
     """Quasi-static point indentation; returns the measured force-depth series.
 
@@ -706,7 +697,7 @@ def indent_virtual(
 
     return IndentationSeries(
         samples=tuple(samples),
-        object_id=object_id,
+        object_id="simulated",
         region_radius=equivalent_radius(state),
         region_thickness=model.material.h,
     )

@@ -1,18 +1,19 @@
 """Independent coarse shooting solver for the membrane shell equations.
 
 Deliberately a different numerical route than the package solver: inward
-RK45 integration from a truncated far field, with nested bisection instead
-of collocation/Newton.  The physical point-load solution has Psi -> 0 at
-the axis (the rho^(1/3) cusp), which is exactly the boundary between
-trajectories that crash (Psi hits zero early) and trajectories that swing
-up to large Psi; the inner bisection on the decaying-mode amplitude rides
-that boundary, and an outer bisection on the force constant c matches the
+RK45 integration from a truncated far field, with two scalar root searches
+instead of collocation/Newton.  The physical point-load solution has
+Psi -> 0 at the axis (the rho^(1/3) cusp), which is exactly the boundary
+between trajectories that crash (Psi hits zero early) and trajectories that
+swing up to large Psi; a bisection on the decaying-mode amplitude rides
+that boundary, and Brent's method on the force constant c matches the
 requested apex depth.  Coarse by construction (few-percent accuracy); used
 only to cross-check [independent-oracle] expectations in the tests.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 SQRT2 = np.sqrt(2.0)
 
@@ -73,30 +74,37 @@ def _survives(sol, rho0):
     return sol.status == 0 and sol.t[-1] <= rho0 * (1 + 1e-9)
 
 
-def _boundary_amplitude(c, rho0=0.02, rho_inf=10.0, iters=80):
+def _boundary_amplitude(c, guess=None, rho0=0.02, rho_inf=10.0):
     """Bisect the mode amplitude to the crash/survive boundary.
 
-    Stops at a relative bracket width of 1e-8: narrower brackets leave the
-    force constant unchanged and only add integrations.
+    The bracket starts at [-1, 4], or at guess +- 1e-3 when the boundary of
+    a nearby c is known, and widens x8 until its lower end crashes and its
+    upper end survives.  Stops at a relative bracket width of 1e-8: narrower
+    brackets leave the force constant unchanged and only add integrations.
+    Returns the surviving end of the bracket and its trajectory.
     """
-    b_lo, b_hi = -1.0, 4.0
-    if _survives(integrate_inward(c, b_lo, rho0, rho_inf), rho0):
-        raise RuntimeError("bracket failure: lower amplitude already survives")
-    while not _survives(integrate_inward(c, b_hi, rho0, rho_inf), rho0):
-        b_hi *= 2.0
-        if b_hi > 1e4:
-            raise RuntimeError("bracket failure: upper amplitude crashes")
-    for _ in range(iters):
-        if b_hi - b_lo <= 1e-8 * abs(b_hi):
-            break
+    b_lo, b_hi = (-1.0, 4.0) if guess is None else (guess - 1e-3, guess + 1e-3)
+    sol_lo, sol_hi = (integrate_inward(c, b, rho0, rho_inf) for b in (b_lo, b_hi))
+    while _survives(sol_lo, rho0) or not _survives(sol_hi, rho0):
+        width = 8.0 * (b_hi - b_lo)
+        if width > 1e4:
+            raise RuntimeError("bracket failure: no crash/survive boundary")
+        if _survives(sol_lo, rho0):
+            b_hi, sol_hi, b_lo = b_lo, sol_lo, b_lo - width
+            sol_lo = integrate_inward(c, b_lo, rho0, rho_inf)
+        else:
+            b_lo, b_hi = b_hi, b_hi + width
+            sol_hi = integrate_inward(c, b_hi, rho0, rho_inf)
+    while b_hi - b_lo > 1e-8 * abs(b_hi):
         b_mid = 0.5 * (b_lo + b_hi)
         if b_mid in (b_lo, b_hi):
             break
-        if _survives(integrate_inward(c, b_mid, rho0, rho_inf), rho0):
-            b_hi = b_mid
+        sol = integrate_inward(c, b_mid, rho0, rho_inf)
+        if _survives(sol, rho0):
+            b_hi, sol_hi = b_mid, sol
         else:
             b_lo = b_mid
-    return b_hi
+    return b_hi, sol_hi
 
 
 def _apex_depth(sol, rho_eval=0.15):
@@ -120,26 +128,15 @@ def solve_membrane_shooting(W0, rho0=0.02, rho_inf=10.0, c_tol=5e-4):
     if not W0 < 0:
         raise ValueError("W0 must be negative")
 
-    def apex(c):
-        b = _boundary_amplitude(c, rho0, rho_inf)
-        return _apex_depth(integrate_inward(c, b, rho0, rho_inf))
+    shots = {}  # c -> trajectory on its crash/survive boundary
+    b = None
 
-    c_lo, c_hi = 0.02, max(1.0, abs(W0))
-    # apex depth becomes deeper (more negative) as c grows
-    while apex(c_hi) > W0:
-        c_hi *= 1.5
-        if c_hi > 100:
-            raise RuntimeError("could not bracket the force constant")
-    while apex(c_lo) < W0:
-        c_lo /= 2.0
-        if c_lo < 1e-6:
-            raise RuntimeError("could not bracket the force constant")
-    while c_hi - c_lo > c_tol:
-        c_mid = 0.5 * (c_lo + c_hi)
-        if apex(c_mid) > W0:
-            c_lo = c_mid
-        else:
-            c_hi = c_mid
-    c = 0.5 * (c_lo + c_hi)
-    b = _boundary_amplitude(c, rho0, rho_inf)
-    return c, integrate_inward(c, b, rho0, rho_inf)
+    def apex_miss(c):
+        nonlocal b
+        b, shots[c] = _boundary_amplitude(c, b, rho0, rho_inf)
+        return _apex_depth(shots[c]) - W0
+
+    # apex depth becomes deeper (more negative) as c grows; the bracket
+    # holds W0 = -1 to -8
+    c = brentq(apex_miss, 0.02, max(1.0, abs(W0)), xtol=c_tol)
+    return c, shots[c]

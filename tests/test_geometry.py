@@ -219,6 +219,13 @@ class TestEnclosedVolume:
         moved = TriMesh(vertices=mesh.vertices + np.asarray(shift), faces=mesh.faces)
         assert enclosed_volume(moved) == pytest.approx(v0, rel=1e-9)
 
+    def test_ball_far_from_the_origin(self):
+        # a scan in site coordinates: its corners lie 1 km out, 10^4 times
+        # its edge lengths
+        ball = icosphere(radius=0.13, subdivisions=3)
+        moved = ball.with_vertices(ball.vertices + [1000.0, 500.0, 250.0])
+        assert enclosed_volume(moved) == pytest.approx(enclosed_volume(ball), rel=1e-9)
+
 
 class TestTriMesh:
     def test_face_index_out_of_range(self):
@@ -880,6 +887,16 @@ class TestMeshCache:
         # the large mesh evicted nothing
         assert load_mesh(small) is kept
         assert cache.nbytes == geometry._MeshCache.charge(kept)
+
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+    def test_charge_covers_the_edge_graph_select_patch_keeps(self, closed):
+        mesh = noisy_icosphere(4, 3)
+        if not closed:
+            # every third face: many edges have no twin
+            mesh = TriMesh(vertices=mesh.vertices, faces=mesh.faces[::3])
+        select_patch(mesh, 0, 0.5)
+        held = mesh.vertices.nbytes + mesh.faces.nbytes + sum(a.nbytes for a in mesh._adjacency)
+        assert held <= geometry._MeshCache.charge(mesh)
 
     def test_lines_split_as_open_splits_them(self, tmp_path, mesh_cache):
         # universal newlines only: \x0b, \x0c, \x1c, \x85 and \u2028 are

@@ -29,6 +29,7 @@ from inflatekit.estimator import (
     run_procedure3,
 )
 from inflatekit.geometry import (
+    SurfacePatch,
     TriMesh,
     enclosed_volume,
     fit_curvature,
@@ -203,6 +204,12 @@ PARAMS = ShellParams(**VALID[ShellParams])
 UNINDENTED = solve_indentation(PARAMS, 0.0)  # the exact unindented state: no solve
 
 
+def _patch(**changes):
+    # the whole 42-vertex ball, as select_patch returns it for a large radius
+    return SurfacePatch(**{"mesh": BALL, "vertex_ids": tuple(range(42)), "seed": 0,
+                           "radius_hint": 1.0, **changes})
+
+
 def _save_mesh(mesh):
     # the file would be opened here
     with mock.patch.object(geometry, "open", _accepted, create=True):
@@ -235,6 +242,10 @@ ENTRY_POINTS = {
     "init_sim mesh": lambda value: init_sim(value, STATE._model.material),
     "init_sim material": lambda value: init_sim(BALL, value),
     "select_patch mesh": lambda value: select_patch(value, 0, 0.1),
+    "SurfacePatch mesh": lambda value: _patch(mesh=value),
+    "SurfacePatch vertex_ids": lambda value: _patch(vertex_ids=value),
+    "SurfacePatch seed": lambda value: _patch(seed=value),
+    "SurfacePatch radius_hint": lambda value: _patch(radius_hint=value),
     "TriMesh vertices": lambda value: TriMesh(vertices=value, faces=[[0, 1, 2]]),
     "TriMesh faces": lambda value: TriMesh(vertices=np.eye(3), faces=value),
     "estimate_modulus_from_wrinkles n": lambda value: estimate_modulus_from_wrinkles(
@@ -264,6 +275,8 @@ ENTRY_POINTS = {
 @example(argument="estimate_modulus_from_wrinkles n", value="8")
 @example(argument="run_procedure3 n", value="8")
 @example(argument="estimate_modulus_from_wrinkles n", value=True)
+# E is finite, but tau = (n / 1.33)^2 overflows
+@example(argument="run_procedure3 n", value=np.float64(1.7832384546823655e154))
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_entry_point_refuses_or_accepts(argument, value):
     try:
@@ -322,6 +335,16 @@ def test_entry_point_refuses_with_a_typed_error(argument, value):
         (lambda: UNINDENTED.force_newtons(None), "params must be a ShellParams, got NoneType"),
         (lambda: serialize_series(None, os.devnull), "series must be an IndentationSeries, got NoneType"),
         (lambda: restitution_coefficient(None), "test must be a DropTest, got NoneType"),
+        (lambda: _patch(mesh=None), "mesh must be a TriMesh, got NoneType"),
+        (lambda: _patch(vertex_ids=None), "vertex_ids must be an array of numbers, got NoneType"),
+        (lambda: _patch(vertex_ids=(10**6,) + tuple(range(41))),
+         "vertex_ids must be in [0, 41], got min=0, max=1000000"),
+        (lambda: _patch(vertex_ids=(2.5,) + tuple(range(41))),
+         "vertex_ids must be a sequence of integers, got a tuple of 42"),
+        (lambda: _patch(vertex_ids=(-1,) + tuple(range(41))),
+         "vertex_ids must be in [0, 41], got min=-1, max=40"),
+        (lambda: _patch(seed=True), "seed must be an integer, got True"),
+        (lambda: _patch(radius_hint="x"), "radius_hint must be finite and > 0, got 'x'"),
     ],
     ids=["run-config-none", "run-observe-int", "run-mesh-as-state", "step-config-none",
          "indent-state-none", "indent-config-dict", "init-array-as-mesh", "init-dict-as-material",
@@ -331,7 +354,10 @@ def test_entry_point_refuses_with_a_typed_error(argument, value):
          "calibrate-record-none", "pressure-cal-none", "pressure-series-none",
          "procedure3-cal-none", "procedure3-series-none", "solve-params-none",
          "solve-options-none", "critical-params-none", "wrinkle-params-none", "csv-solution-none",
-         "force-params-none", "serialize-series-none", "restitution-test-none"],
+         "force-params-none", "serialize-series-none", "restitution-test-none",
+         "surface-patch-mesh-none", "surface-patch-ids-none", "surface-patch-id-too-large",
+         "surface-patch-id-fractional", "surface-patch-id-negative", "surface-patch-bool-seed",
+         "surface-patch-string-radius"],
 )
 def test_object_argument_refused_before_any_work(call, message):
     # _Accepted would escape if the work had started

@@ -3,7 +3,8 @@
 The [derived] expectations (annulus location, forces, profiles) are
 cross-checked live against tests/shooting_oracle.py, an independent
 inward shooting solver of the same ODE system built on a different
-numerical route (RK45 + nested bisection instead of collocation).
+numerical route (RK45 shooting with scalar root searches instead of
+collocation).
 """
 
 import dataclasses

@@ -113,6 +113,13 @@ class TestInit:
         assert state.Pg == 1300.0
         assert state.time == 0.0
 
+    def test_isothermal_gas_starts_at_its_rest_volume(self):
+        # the rest volume and the state's volume are one formula, so the gas
+        # starts at exactly Pg0 on a ball away from the origin
+        state = ball_state(material=replace(MATERIAL, gas_model="isothermal"), center=(0.0, 0.0, 0.63))
+        assert state.volume == state._model.rest_volume
+        assert state.Pg == 1300.0
+
     def test_open_mesh_rejected(self):
         mesh = icosphere(radius=0.13, subdivisions=1)
         open_mesh = TriMesh(vertices=mesh.vertices, faces=mesh.faces[:-1])
