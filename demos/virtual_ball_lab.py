@@ -54,11 +54,9 @@ def poke():
     mesh = icosphere(radius=0.13, subdivisions=2)
     state = init_sim(mesh, MATERIAL)
     top = int(np.argmax(mesh.vertices[:, 2]))
-    config = ScenarioConfig(
-        gravity=(0.0, 0.0, 0.0),
-        indenter=Indenter(vertex=top, axis=(0.0, 0.0, -1.0)),
-    )
-    series = indent_virtual(state, config, target_depth=0.02, n_levels=4)
+    indenter = Indenter(vertex=top, axis=(0.0, 0.0, -1.0))
+    series = indent_virtual(state, indenter, target_depth=0.02, n_levels=4,
+                            gravity=(0.0, 0.0, 0.0))
     print(f"\nvirtual indentation (R = {series.region_radius * 1e3:.1f} mm):")
     for s in series.samples:
         print(f"  depth {s.depth * 1e3:5.1f} mm  ->  force {s.force:6.3f} N")

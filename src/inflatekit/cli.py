@@ -224,26 +224,29 @@ _INDENT_OPTIONAL = ("levels", "axis", "speed")
 
 
 def _parse_scenario(path):
-    """Scenario JSON -> (MaterialSpec, ScenarioConfig, indent block or None).
+    """Scenario JSON -> (MaterialSpec, ScenarioConfig, indent_virtual keywords or None).
 
-    Checks the JSON structure; the constructors check the values, and
-    indent_virtual ``indent.target_depth`` and ``levels``.
-    ``indent.speed`` is accepted and ignored: indentation is quasi-static.
+    Checks the JSON structure and that an indent scenario has no planes;
+    the constructors check the values, and indent_virtual
+    ``indent.target_depth`` and ``levels``.  ``indent.speed`` is accepted
+    and ignored: indentation is quasi-static.
     """
     data = _read_json(path)
     try:
         _table(data, "scenario JSON", ("material",), _SCENARIO_OPTIONAL)
         spec = _table(data["material"], "material", _MATERIAL_REQUIRED, ("gas_model",))
         material = MaterialSpec(**spec)
-        fields = {key: data[key] for key in _CONFIG_KEYS if key in data}
         indent = data.get("indent")
         if indent is not None:
             _table(indent, "indent", ("vertex", "target_depth"), _INDENT_OPTIONAL)
-            fields["indenter"] = Indenter(indent["vertex"], indent.get("axis", (0.0, 0.0, -1.0)))
+            indenter = Indenter(indent["vertex"], indent.get("axis", (0.0, 0.0, -1.0)))
+            indent = dict(indenter=indenter, target_depth=indent["target_depth"],
+                          n_levels=indent.get("levels"))
         planes = data.get("planes", [])
         _check(isinstance(planes, list), "planes must be a list")
+        _check(not (indent and planes), "the support is a pinned cap; planes are not supported")
         planes = tuple(Plane(**_table(p, "plane", ("point", "normal"))) for p in planes)
-        config = ScenarioConfig(planes=planes, **fields)
+        config = ScenarioConfig(planes=planes, **{k: data[k] for k in _CONFIG_KEYS if k in data})
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     return material, config, indent
@@ -262,12 +265,7 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if indent is not None:
-        series = indent_virtual(
-            state,
-            config,
-            target_depth=indent["target_depth"],
-            n_levels=indent.get("levels"),
-        )
+        series = indent_virtual(state, **indent, gravity=config.gravity)
         out_path = out_dir / "series.csv"
         serialize_series(series, out_path)
         print(

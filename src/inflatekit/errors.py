@@ -122,6 +122,14 @@ def positive(name, value, error=ValidationError) -> float:
     return result
 
 
+def poisson(name, value) -> float:
+    """number(name, value) when it is in (0, 0.5), the range of a Poisson ratio."""
+    result = number(name, value)
+    if not 0 < result < 0.5:
+        raise ValidationError(f"{name} must be in (0, 0.5), got {result}")
+    return result
+
+
 def vector(name, value) -> tuple:
     """value as a tuple of 3 floats: a list, tuple or 1-d array of 3 numbers."""
     sized = isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1

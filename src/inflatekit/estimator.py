@@ -31,6 +31,7 @@ from .errors import (
     ValidationError,
     instance,
     number,
+    poisson,
     positive,
     sequence,
     show,
@@ -199,9 +200,7 @@ def estimate_modulus_from_wrinkles(
     R, h, Pg = (positive(name, value) for name, value in (("R", R), ("h", h), ("Pg", Pg)))
     if not (isinstance(n, numbers.Real) and not isinstance(n, bool) and n >= 1):
         raise ValidationError(f"n must be a number >= 1, got {show(n)}")
-    nu = number("nu", nu)
-    if not (0 < nu < 0.5):
-        raise ValidationError(f"nu must be in (0, 0.5), got {nu}")
+    nu = poisson("nu", nu)
     try:
         e_mod = math.sqrt(12.0 * (1.0 - nu**2)) * (WRINKLE_FACTOR * R / (float(n) * h)) ** 2 * Pg
     except OverflowError:  # the square, or an int n beyond float range

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._solvers import brentq
-from .errors import NonConvergenceError, ValidationError, instance, number, positive
+from .errors import NonConvergenceError, ValidationError, instance, number, poisson, positive
 
 _log = logging.getLogger(__name__)
 
@@ -90,9 +90,7 @@ class ShellParams:
     def __post_init__(self):
         for name in ("R", "h", "E", "Pg"):
             object.__setattr__(self, name, positive(name, getattr(self, name)))
-        object.__setattr__(self, "nu", number("nu", self.nu))
-        if not (0 < self.nu < 0.5):
-            raise ValidationError(f"nu must be in (0, 0.5), got {self.nu}")
+        object.__setattr__(self, "nu", poisson("nu", self.nu))
         try:
             tau = self.tau
         except (ZeroDivisionError, OverflowError):  # E h B underflows to 0, R^2 or h^3 overflows

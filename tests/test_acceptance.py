@@ -179,11 +179,9 @@ def test_simulated_indentation_round_trip():
     def indent_at(pg):
         material = MaterialSpec(E=2.3e6, nu=0.4, h=3e-3, density=1000.0, Pg0=pg)
         state = init_sim(mesh, material)
-        config = ScenarioConfig(
-            gravity=(0.0, 0.0, 0.0),
-            indenter=Indenter(vertex=top, axis=(0.0, 0.0, -1.0)),
-        )
-        return indent_virtual(state, config, target_depth=0.035, n_levels=5)
+        indenter = Indenter(vertex=top, axis=(0.0, 0.0, -1.0))
+        return indent_virtual(state, indenter, target_depth=0.035, n_levels=5,
+                              gravity=(0.0, 0.0, 0.0))
 
     records = []
     for pg in (800.0, 2000.0):

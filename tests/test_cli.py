@@ -1018,6 +1018,11 @@ class TestSimulate:
             {"material": MATERIAL, "indent": {"vertex": 0, "target_depth": 0.01, "levels": 2}},
             {"material": MATERIAL, "indent": {"vertex": 0, "target_depth": 0.01, "levels": 100000}},
             {"material": MATERIAL, "indent": {"vertex": 0, "target_depth": 100}},
+            # vertex 28 is the bottom of the 42-vertex ball, inside the
+            # support cap opposite the default axis (0, 0, -1)
+            {"material": MATERIAL, "indent": {"vertex": 28, "target_depth": 0.01, "levels": 3}},
+            {"material": MATERIAL, "indent": {"vertex": 0, "target_depth": 0.01},
+             "planes": [{"point": [0, 0, -0.13], "normal": [0, 0, 1]}]},
             LONG_INTEGER_SCENARIO,
             DEEP_JSON,
         ],
@@ -1039,6 +1044,8 @@ class TestSimulate:
             "two-levels",
             "levels-above-cap",
             "derived-levels-above-cap",
+            "indent-vertex-in-support-cap",
+            "indent-with-planes",
             "modulus-of-5001-digits",
             "nested-200000-deep",
         ],
@@ -1068,6 +1075,20 @@ class TestSimulate:
         )
         assert code == 2
         assert capsys.readouterr().err == "error: mesh volume must be positive (outward-oriented faces)\n"
+
+    def test_indent_with_planes_exits_before_the_mesh_is_read(self, tmp_path, capsys):
+        extra = {"indent": {"vertex": 0, "target_depth": 0.01},
+                 "planes": [{"point": [0, 0, -0.13], "normal": [0, 0, 1]}]}
+        path = self.scenario(tmp_path, extra)
+        code = main(
+            ["simulate", "--scenario", str(path), "--mesh", str(tmp_path / "missing.obj"),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: the support is a pinned cap; planes are not supported\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_indent_ignores_dt_and_duration(self, tmp_path):
         # dt and duration would be refused for a dynamic run
@@ -1258,7 +1279,9 @@ def test_only_solve_shell_loads_scipy(tmp_path):
     """)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-c", script, json.dumps(commands), json.dumps(shell_argv)],
+    # -W error::RuntimeWarning: no command may warn on its way to exit 0
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script,
+                          json.dumps(commands), json.dumps(shell_argv)],
                          env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "indent" / "series.csv").exists()

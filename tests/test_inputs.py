@@ -82,8 +82,8 @@ VALID = {
                        gas_model="constant_pressure"),
     Plane: dict(point=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0)),
     Indenter: dict(vertex=0, axis=(0.0, 0.0, -1.0)),
-    ScenarioConfig: dict(gravity=(0.0, 0.0, -9.81), planes=(), restitution=1.0, indenter=None,
-                         dt=1e-4, duration=1.0, damping=0.0),
+    ScenarioConfig: dict(gravity=(0.0, 0.0, -9.81), planes=(), restitution=1.0, dt=1e-4,
+                         duration=1.0, damping=0.0),
     ShellParams: dict(R=0.13, h=8.6e-4, E=2.3e6, nu=0.4, Pg=1300.0),
     CalibrationRecord: dict(measured_Pg=800.0, estimated_Pg_hat=512.0),
     Calibration: dict(ks=0.64, records=RECORDS, fit_r2=1.0),
@@ -91,7 +91,7 @@ VALID = {
 }
 FIELDS = [(cls, name) for cls, fields in VALID.items() for name in fields]
 VECTORS = {"point", "normal", "axis", "gravity"}
-OBJECTS = {"gas_model", "planes", "indenter", "records"}
+OBJECTS = {"gas_model", "planes", "records"}
 
 
 def build(cls, name, value):
@@ -179,12 +179,11 @@ STATE = init_sim(BALL, MaterialSpec(**{**VALID[MaterialSpec], "gas_model": "isot
 SHORT = ScenarioConfig(duration=3e-4)  # three steps
 
 
-def _indent(vertex=0, target_depth=0.01, n_levels=3, state=STATE, config=None):
-    if config is None:
-        config = ScenarioConfig(gravity=(0.0, 0.0, 0.0), indenter=Indenter(vertex=vertex))
+def _indent(indenter=Indenter(vertex=0), target_depth=0.01, n_levels=3, state=STATE,
+            gravity=(0.0, 0.0, 0.0)):
     # the minimisation of the first level would start here
     with mock.patch.object(simulator, "lbfgs", _accepted):
-        indent_virtual(state, config, target_depth, n_levels)
+        indent_virtual(state, indenter, target_depth, n_levels, gravity=gravity)
 
 
 def _run(state=STATE, config=SHORT, observe=None):
@@ -226,7 +225,7 @@ ENTRY_POINTS = {
     "run every": lambda value: run(STATE, SHORT, every=value),
     "indent_virtual target_depth": lambda value: _indent(target_depth=value),
     "indent_virtual n_levels": lambda value: _indent(n_levels=value),
-    "indent_virtual vertex": lambda value: _indent(vertex=value),
+    "indent_virtual vertex": lambda value: _indent(Indenter(vertex=value)),
     "select_patch seed": lambda value: select_patch(BALL, value, 0.1),
     "select_patch radius_hint": lambda value: select_patch(BALL, 0, value),
     "icosphere radius": lambda value: icosphere(value, 0),
@@ -238,7 +237,8 @@ ENTRY_POINTS = {
     "step state": lambda value: step(value, SHORT),
     "step config": lambda value: step(STATE, value),
     "indent_virtual state": lambda value: _indent(state=value),
-    "indent_virtual config": lambda value: _indent(config=value),
+    "indent_virtual indenter": lambda value: _indent(indenter=value),
+    "indent_virtual gravity": lambda value: _indent(gravity=value),
     "init_sim mesh": lambda value: init_sim(value, STATE._model.material),
     "init_sim material": lambda value: init_sim(BALL, value),
     "select_patch mesh": lambda value: select_patch(value, 0, 0.1),
@@ -305,7 +305,8 @@ def test_entry_point_refuses_with_a_typed_error(argument, value):
         (lambda: _run(state=BALL), "state must be a SimState, got TriMesh"),
         (lambda: step(STATE, None), "config must be a ScenarioConfig, got NoneType"),
         (lambda: _indent(state=None), "state must be a SimState, got NoneType"),
-        (lambda: _indent(config={}), "config must be a ScenarioConfig, got dict"),
+        (lambda: _indent(indenter={}), "indenter must be an Indenter, got dict"),
+        (lambda: _indent(gravity=(0.0, True, 0.0)), "gravity[1] must be a finite number, got True"),
         (lambda: init_sim(BALL.vertices, STATE._model.material), "mesh must be a TriMesh, got ndarray"),
         (lambda: init_sim(BALL, VALID[MaterialSpec]), "material must be a MaterialSpec, got dict"),
         (lambda: select_patch(None, 0, 0.1), "mesh must be a TriMesh, got NoneType"),
@@ -347,7 +348,8 @@ def test_entry_point_refuses_with_a_typed_error(argument, value):
         (lambda: _patch(radius_hint="x"), "radius_hint must be finite and > 0, got 'x'"),
     ],
     ids=["run-config-none", "run-observe-int", "run-mesh-as-state", "step-config-none",
-         "indent-state-none", "indent-config-dict", "init-array-as-mesh", "init-dict-as-material",
+         "indent-state-none", "indent-indenter-dict", "indent-bool-gravity", "init-array-as-mesh",
+         "init-dict-as-material",
          "patch-mesh-none", "string-vertices", "faces-none", "ragged-vertices", "bool-faces",
          "string-n", "bool-n", "procedure3-string-n", "fit-patch-none", "volume-mesh-none",
          "save-mesh-none", "regress-series-none", "calibrate-records-none",

@@ -16,8 +16,10 @@ from inflatekit.errors import (
 )
 from inflatekit.geometry import TriMesh, icosphere, signed_volume
 from inflatekit.simulator import (
+    GRAVITY,
     P_ATM,
     RELAX_FORCE_TOL,
+    SUPPORT_CAP_DEG,
     Indenter,
     MaterialSpec,
     Plane,
@@ -273,6 +275,27 @@ class TestDynamics:
             0.75 * 0.2 + (30 - 6) * 0.1, rel=1e-9
         )
 
+    def test_contact_carries_over_only_to_the_same_planes(self):
+        # a ball touching the floor z = 0 and moving down, stepped once with
+        # only a floor 5 m below it: that floor starts out of contact, so
+        # the step is the one without planes, not a separation bounce
+        floor = ScenarioConfig(planes=(Plane(point=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0)),),
+                               restitution=0.75)
+        state = ball_state(center=(0.0, 0.0, 0.13 + 1e-5))
+        state = replace(state, velocities=np.tile([0.0, 0.0, -0.3], (len(state.vertices), 1)))
+        touching = step(state, floor)
+        assert touching.contact_state[0][0]
+        far = replace(floor, planes=(Plane(point=(0.0, 0.0, -5.0), normal=(0.0, 0.0, 1.0)),))
+        after = step(touching, far)
+        assert after.contact_state == ((False, 0.0),)
+        assert after.momentum[2] < 0
+        free = step(touching, replace(floor, planes=()))
+        np.testing.assert_array_equal(after.vertices, free.vertices)
+        np.testing.assert_array_equal(after.velocities, free.velocities)
+        # an equal floor built anew keeps the contact
+        again = replace(floor, planes=(Plane(point=(0, 0, 0), normal=(0, 0, 1)),))
+        assert step(touching, again).contact_state[0][0]
+
     def test_step_makes_one_geometry_pass(self, monkeypatch):
         # the successor is built from positions alone: no mesh is rebuilt
         # or validated and the volume is not gathered a second time
@@ -509,10 +532,8 @@ class TestRun:
 
 class TestIndentation:
     def test_zero_target_depth_rejected(self):
-        state = ball_state()
-        config = ScenarioConfig(indenter=Indenter(vertex=0))
         with pytest.raises(InsufficientDataError):
-            indent_virtual(state, config, target_depth=0.0)
+            indent_virtual(ball_state(), Indenter(vertex=0), target_depth=0.0)
 
     @pytest.mark.parametrize(
         "target_depth, n_levels",
@@ -523,22 +544,29 @@ class TestIndentation:
         self, monkeypatch, target_depth, n_levels
     ):
         monkeypatch.setattr(simulator, "lbfgs", None)  # any minimisation would fail
-        config = ScenarioConfig(gravity=(0.0, 0.0, 0.0), indenter=Indenter(vertex=0))
         with pytest.raises(ValidationError, match="above the cap of 1,000"):
-            indent_virtual(ball_state(subdivisions=1), config, target_depth, n_levels)
+            indent_virtual(ball_state(subdivisions=1), Indenter(vertex=0), target_depth, n_levels,
+                           gravity=(0.0, 0.0, 0.0))
 
-    def test_missing_indenter_rejected(self):
-        with pytest.raises(ValidationError):
-            indent_virtual(ball_state(), ScenarioConfig(), target_depth=0.01)
+    def test_indenter_in_the_support_cap_rejected_before_any_minimisation(self, monkeypatch):
+        # the bottom vertex with the default axis (0, 0, -1) lies in the
+        # fixed cap: the axis points out of the surface there
+        monkeypatch.setattr(simulator, "lbfgs", None)  # any minimisation would fail
+        state = ball_state()
+        bottom = int(np.argmin(state.vertices[:, 2]))
+        with pytest.raises(ValidationError) as err:
+            indent_virtual(state, Indenter(vertex=bottom), target_depth=0.01, n_levels=3)
+        assert str(err.value) == (
+            f"indenter vertex {bottom} lies in the 30-degree support cap around the antipode "
+            "of its axis; the axis must point into the surface"
+        )
 
     def test_series_has_increasing_force_and_depth(self):
         state = ball_state()
         top = int(np.argmax(state.mesh.vertices[:, 2]))
-        config = ScenarioConfig(
-            gravity=(0.0, 0.0, 0.0),
-            indenter=Indenter(vertex=top, axis=(0.0, 0.0, -1.0)),
-        )
-        series = indent_virtual(state, config, target_depth=0.015, n_levels=3)
+        indenter = Indenter(vertex=top, axis=(0.0, 0.0, -1.0))
+        series = indent_virtual(state, indenter, target_depth=0.015, n_levels=3,
+                                gravity=(0.0, 0.0, 0.0))
         depths = series.depths
         forces = series.forces
         assert len(depths) == 3
@@ -547,15 +575,6 @@ class TestIndentation:
         assert all(f2 > f1 for f1, f2 in zip(forces, forces[1:]))
         assert series.region_radius == pytest.approx(0.13, rel=0.02)
         assert series.region_thickness == MATERIAL.h
-
-    def test_planes_rejected(self):
-        state = ball_state()
-        config = ScenarioConfig(
-            planes=(Plane(point=(0.0, 0.0, -0.13), normal=(0.0, 0.0, 1.0)),),
-            indenter=Indenter(vertex=0),
-        )
-        with pytest.raises(ValidationError):
-            indent_virtual(state, config, target_depth=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -669,16 +688,16 @@ def pinned_step(state, config, pinned, pinned_positions):
     return replace(state, vertices=x, velocities=v)
 
 
-def damped_indentation_forces(state, config, target_depth, n_levels, speed=0.01):
-    """Reaction forces of the former damped advance-and-relax indentation."""
+def damped_indentation_forces(state, ind, config, target_depth, n_levels, speed=0.01):
+    """Reaction forces of the former damped advance-and-relax indentation of
+    ind, stepped with config's dt, gravity and damping."""
     model = state._model
-    ind = config.indenter
     axis = np.asarray(ind.axis)
     x = state.mesh.vertices
     x0 = x[ind.vertex].copy()
     centered = x - x.mean(axis=0)
     along = centered @ axis
-    cap = along >= np.linalg.norm(centered, axis=1) * math.cos(math.radians(30.0))
+    cap = along >= np.linalg.norm(centered, axis=1) * math.cos(math.radians(SUPPORT_CAP_DEG))
     cap[ind.vertex] = False
     support = np.nonzero(cap)[0]
     pinned = np.concatenate(([ind.vertex], support))
@@ -707,16 +726,16 @@ def damped_indentation_forces(state, config, target_depth, n_levels, speed=0.01)
     return forces
 
 
-def lbfgsb_indentation_forces(state, config, target_depth, n_levels):
+def lbfgsb_indentation_forces(state, ind, target_depth, n_levels, gravity=GRAVITY):
     """Reaction forces of the former indent_virtual: scipy's L-BFGS-B
     minimises the same potential over the same free vertices at each level."""
     model = state._model
-    ind = config.indenter
     axis = np.asarray(ind.axis)
     x = state.vertices.copy(order="F")
-    gravity = model.masses[:, None] * np.asarray(config.gravity)
+    gravity = model.masses[:, None] * np.asarray(gravity)
     centered = x - x.mean(axis=0)
-    free = centered @ axis < np.linalg.norm(centered, axis=1) * math.cos(math.radians(30.0))
+    cos_cap = math.cos(math.radians(SUPPORT_CAP_DEG))
+    free = centered @ axis < np.linalg.norm(centered, axis=1) * cos_cap
     free[ind.vertex] = False
 
     def potential(q):
@@ -772,9 +791,9 @@ class TestQuasiStaticIndentation:
         # about 8e-4 N from the equilibrium.
         state = ball_state(material=material)
         top = int(np.argmax(state.mesh.vertices[:, 2]))
-        config = ScenarioConfig(indenter=Indenter(vertex=top), dt=3e-4)
-        series = indent_virtual(state, config, target_depth=0.015, n_levels=3)
-        reference = damped_indentation_forces(state, config, 0.015, 3)
+        indenter = Indenter(vertex=top)
+        series = indent_virtual(state, indenter, target_depth=0.015, n_levels=3)
+        reference = damped_indentation_forces(state, indenter, ScenarioConfig(dt=3e-4), 0.015, 3)
         assert np.abs(np.asarray(series.forces) - reference).max() <= 1e-3
 
     @pytest.mark.parametrize(
@@ -789,9 +808,9 @@ class TestQuasiStaticIndentation:
     def test_matches_lbfgsb(self, subdivisions, material, gravity, target_depth, n_levels):
         state = ball_state(material=material, subdivisions=subdivisions)
         top = int(np.argmax(state.vertices[:, 2]))
-        config = ScenarioConfig(gravity=gravity, indenter=Indenter(vertex=top))
-        series = indent_virtual(state, config, target_depth, n_levels)
-        reference = lbfgsb_indentation_forces(state, config, target_depth, n_levels)
+        indenter = Indenter(vertex=top)
+        series = indent_virtual(state, indenter, target_depth, n_levels, gravity=gravity)
+        reference = lbfgsb_indentation_forces(state, indenter, target_depth, n_levels, gravity)
         assert np.abs(np.asarray(series.forces) - reference).max() <= 1e-3
 
     def test_isothermal_relaxes_to_a_hundredth_of_the_force_tolerance(self, monkeypatch):
@@ -800,11 +819,11 @@ class TestQuasiStaticIndentation:
         # with a residual near 1e-6 N
         state = ball_state(material=GAS_MATERIALS[1], subdivisions=3)
         top = int(np.argmax(state.vertices[:, 2]))
-        config = ScenarioConfig(indenter=Indenter(vertex=top))
-        forces = np.asarray(indent_virtual(state, config, 0.02, 4).forces)
+        indenter = Indenter(vertex=top)
+        forces = np.asarray(indent_virtual(state, indenter, 0.02, 4).forces)
         monkeypatch.setattr(simulator, "RELAX_FORCE_TOL", RELAX_FORCE_TOL / 100.0)
         monkeypatch.setattr(simulator, "RELAX_GTOL", simulator.RELAX_GTOL / 100.0)
-        tight = np.asarray(indent_virtual(state, config, 0.02, 4).forces)
+        tight = np.asarray(indent_virtual(state, indenter, 0.02, 4).forces)
         assert np.abs(forces - tight).max() <= 1e-3
 
     @pytest.mark.parametrize("material", GAS_MATERIALS, ids=lambda m: m.gas_model)
@@ -815,11 +834,11 @@ class TestQuasiStaticIndentation:
         # residual, whichever solver finds it
         state = ball_state(material=material, subdivisions=3)
         top = int(np.argmax(state.vertices[:, 2]))
-        config = ScenarioConfig(indenter=Indenter(vertex=top))
-        forces = np.asarray(indent_virtual(state, config, 0.02, 4).forces)
-        reference = lbfgsb_indentation_forces(state, config, 0.02, 4)
+        indenter = Indenter(vertex=top)
+        forces = np.asarray(indent_virtual(state, indenter, 0.02, 4).forces)
+        reference = lbfgsb_indentation_forces(state, indenter, 0.02, 4)
         monkeypatch.setattr(simulator, "RELAX_FORCE_TOL", RELAX_FORCE_TOL / 10.0)
         monkeypatch.setattr(simulator, "RELAX_GTOL", simulator.RELAX_GTOL / 10.0)
-        tight = np.asarray(indent_virtual(state, config, 0.02, 4).forces)
+        tight = np.asarray(indent_virtual(state, indenter, 0.02, 4).forces)
         assert np.abs(forces - tight).max() <= 1e-3
         assert np.abs(reference - tight).max() <= 1e-3
