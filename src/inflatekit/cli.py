@@ -8,6 +8,7 @@ idempotent.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -31,7 +32,7 @@ from .estimator import (
     regress_phat,
     run_procedure3,
 )
-from .geometry import enclosed_volume, fit_curvature, load_mesh, select_patch
+from .geometry import enclosed_volume, equivalent_radius, fit_curvature, load_mesh, select_patch
 from .measurement import parse_series, serialize_series
 from .shell import (
     DEFAULT_NU,
@@ -218,7 +219,7 @@ def cmd_solve_shell(args) -> int:
 
 
 _MATERIAL_REQUIRED = ("E", "nu", "h", "density", "Pg0")
-_CONFIG_KEYS = ("gravity", "restitution", "dt", "duration", "damping")  # ScenarioConfig fields
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioConfig) if f.name != "planes")
 _SCENARIO_OPTIONAL = ("indent", "planes", *_CONFIG_KEYS)
 _INDENT_OPTIONAL = ("levels", "axis", "speed")
 
@@ -314,7 +315,7 @@ def cmd_mesh_info(args) -> int:
     }
     if volume is not None:
         info["volume_m3"] = volume
-        info["equivalent_radius_m"] = (3.0 * volume / (4 * math.pi)) ** (1.0 / 3.0)
+        info["equivalent_radius_m"] = equivalent_radius(volume)
     print(json.dumps(info, indent=2))
     return EXIT_OK
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import threading
 import warnings
 from collections import OrderedDict
@@ -343,9 +344,7 @@ def _convert_block(coords, tokens, f_sizes, f_seen, data: bytes, path: str):
     sizes = np.array(f_sizes, dtype=np.int64)
     np.subtract(idx, 1, out=idx, where=idx > 0)
     np.add(idx, np.repeat(np.array(f_seen, dtype=np.int64), sizes), out=idx, where=idx < 0)
-    if (sizes == 3).all():
-        return vertices, idx.reshape(-1, 3)
-    # fan: polygon (r0, r1, ..., rk) -> triangles (r0, r_j, r_j+1)
+    # fan: polygon (r0, r1, ..., rk) -> triangles (r0, r_j, r_j+1); a triangle is its own fan
     ends = np.cumsum(sizes)
     n_tri = sizes - 2
     first = np.repeat(ends - sizes, n_tri)
@@ -521,6 +520,11 @@ def enclosed_volume(mesh: TriMesh) -> float:
     if not np.isfinite(volume):
         raise ValidationError("enclosed volume overflows: vertex coordinates are too large")
     return volume
+
+
+def equivalent_radius(volume: float) -> float:
+    """Radius of the sphere of the given volume."""
+    return (3.0 * volume / (4.0 * math.pi)) ** (1.0 / 3.0)
 
 
 def signed_volume(mesh: TriMesh) -> float:

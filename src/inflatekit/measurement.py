@@ -99,10 +99,8 @@ def restitution_coefficient(test: DropTest) -> float:
     return math.sqrt(test.bounce_height / test.drop_height)
 
 
-def parse_series(
-    path, region_radius: float, region_thickness: float, object_id: str | None = None
-) -> IndentationSeries:
-    """Read an indentation CSV file into an IndentationSeries.
+def parse_series(path, region_radius: float, region_thickness: float) -> IndentationSeries:
+    """Read an indentation CSV file into an IndentationSeries named after its stem.
 
     Raises ParseError for malformed rows (with line number), ValidationError
     for a force or depth that is not finite and > 0 (with path and line),
@@ -147,7 +145,7 @@ def parse_series(
         )
     return IndentationSeries(
         samples=tuple(samples),
-        object_id=object_id if object_id is not None else path.stem,
+        object_id=path.stem,
         region_radius=region_radius,
         region_thickness=region_thickness,
     )

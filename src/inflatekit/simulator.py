@@ -46,7 +46,7 @@ from .errors import (
     show,
     vector,
 )
-from .geometry import TriMesh, _face_geometry, signed_volume
+from .geometry import TriMesh, _face_geometry, equivalent_radius, signed_volume
 from .measurement import IndentationSample, IndentationSeries
 
 P_ATM = 101325.0  # Pa
@@ -139,19 +139,17 @@ class ScenarioConfig:
     restitution: float = 1.0
     dt: float = 1e-4
     duration: float = 1.0
-    damping: float = 0.0  # 1/s viscous rate
 
     def __post_init__(self):
         object.__setattr__(self, "gravity", vector("gravity", self.gravity))
         object.__setattr__(self, "planes", sequence("planes", self.planes, Plane))
-        for name in ("restitution", "duration", "damping"):
+        for name in ("restitution", "duration"):
             object.__setattr__(self, name, number(name, getattr(self, name)))
         object.__setattr__(self, "dt", positive("dt", self.dt))
         if not (0 < self.restitution <= 1):
             raise ValidationError(f"restitution must be in (0, 1], got {self.restitution}")
-        for name in ("duration", "damping"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.duration < 0:
+            raise ValidationError(f"duration must be >= 0, got {self.duration}")
 
 
 def _equibiaxial_stretch(material: MaterialSpec, tension: float) -> float:
@@ -235,9 +233,8 @@ class _MembraneModel:
         # Pg0 * R / 2 for the volume-equivalent sphere.  Without real
         # tension the pressure follower load makes transverse perturbation
         # modes unstable (the membrane has no bending stiffness).
-        r_eq = (3.0 * rest_volume / (4.0 * math.pi)) ** (1.0 / 3.0)
         self.prestretch = _equibiaxial_stretch(
-            material, material.Pg0 * r_eq / 2.0
+            material, material.Pg0 * equivalent_radius(rest_volume) / 2.0
         )
         l1 = l1 / self.prestretch
         proj = proj / self.prestretch
@@ -489,7 +486,6 @@ def _advance(state: SimState, config: ScenarioConfig, n_steps: int, observe=None
         dt = config.dt
         dt_m, load, normals, offsets = model._constants_for(config)
         masses, total_mass = model.masses, model.total_mass
-        damping_m = config.damping * masses if config.damping > 0 else None
         # (3, n) views of the Fortran-ordered (n, 3) state
         x = state.vertices.T
         v = state.velocities.T
@@ -503,8 +499,6 @@ def _advance(state: SimState, config: ScenarioConfig, n_steps: int, observe=None
             frame = int(round(time / dt))
             forces = model._forces(x, None, frame)[0]
             forces += load
-            if damping_m is not None:
-                forces -= damping_m * v
             v = v + dt_m * forces
 
             # frictionless plane contacts with per-episode restitution
@@ -627,11 +621,6 @@ RELAX_MAX_ITER = 15_000
 SUPPORT_CAP_DEG = 30.0
 
 
-def equivalent_radius(state: SimState) -> float:
-    """Radius of the sphere with the state's enclosed volume."""
-    return (3.0 * state.volume / (4.0 * math.pi)) ** (1.0 / 3.0)
-
-
 def indent_virtual(
     state: SimState,
     indenter: Indenter,
@@ -650,9 +639,10 @@ def indent_virtual(
     RELAX_FORCE_TOL or more left on a free vertex raises
     RelaxationTimeoutError.  The SUPPORT_CAP_DEG cap of vertices around the
     antipode of the indentation axis is held fixed as the support (otherwise
-    the pin would simply translate the whole object); an indenter vertex in
-    it raises ValidationError.  R is the volume-equivalent sphere radius, h
-    the material thickness.
+    the pin would simply translate the whole object).  The indenter vertex
+    must lie in the mirror cap, within SUPPORT_CAP_DEG of the pole where the
+    axis enters the surface, else ValidationError.  R is the
+    volume-equivalent sphere radius, h the material thickness.
     """
     instance("state", state, SimState)
     ind = instance("indenter", indenter, Indenter)
@@ -669,14 +659,16 @@ def indent_virtual(
     x = state.vertices.copy(order="F")
     model = state._model
     weight = model.masses[:, None] * np.asarray(gravity)
-    # support: hold the cap around the axis antipode fixed
+    # support: hold the cap around the axis antipode fixed; the indenter
+    # vertex must lie in the mirror cap, around the pole where the axis enters
     centered = x - x.mean(axis=0)
     along = centered @ axis
-    free = along < np.linalg.norm(centered, axis=1) * math.cos(math.radians(SUPPORT_CAP_DEG))
-    if not free[ind.vertex]:
+    cap_edge = np.linalg.norm(centered, axis=1) * math.cos(math.radians(SUPPORT_CAP_DEG))
+    free = along < cap_edge
+    if not -along[ind.vertex] >= cap_edge[ind.vertex]:
         raise ValidationError(
-            f"indenter vertex {ind.vertex} lies in the {SUPPORT_CAP_DEG:g}-degree support cap "
-            "around the antipode of its axis; the axis must point into the surface"
+            f"indenter vertex {ind.vertex} lies more than {SUPPORT_CAP_DEG:g} degrees from the "
+            "pole where its axis enters the surface; the axis must point into the surface"
         )
     free[ind.vertex] = False
 
@@ -709,6 +701,6 @@ def indent_virtual(
     return IndentationSeries(
         samples=tuple(samples),
         object_id="simulated",
-        region_radius=equivalent_radius(state),
+        region_radius=equivalent_radius(state.volume),
         region_thickness=model.material.h,
     )

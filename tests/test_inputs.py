@@ -83,7 +83,7 @@ VALID = {
     Plane: dict(point=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0)),
     Indenter: dict(vertex=0, axis=(0.0, 0.0, -1.0)),
     ScenarioConfig: dict(gravity=(0.0, 0.0, -9.81), planes=(), restitution=1.0, dt=1e-4,
-                         duration=1.0, damping=0.0),
+                         duration=1.0),
     ShellParams: dict(R=0.13, h=8.6e-4, E=2.3e6, nu=0.4, Pg=1300.0),
     CalibrationRecord: dict(measured_Pg=800.0, estimated_Pg_hat=512.0),
     Calibration: dict(ks=0.64, records=RECORDS, fit_r2=1.0),
@@ -116,7 +116,7 @@ def warnings_as_errors():
 @example(field=(ScenarioConfig, "gravity"), value=(0.0, True, 0.0))
 @example(field=(ScenarioConfig, "planes"), value=((0, 0, 1),))
 @example(field=(ScenarioConfig, "dt"), value=None)
-@example(field=(ScenarioConfig, "damping"), value=10**400)
+@example(field=(ScenarioConfig, "duration"), value=10**400)
 @example(field=(Plane, "point"), value=(0, 0))
 @example(field=(Plane, "point"), value="abc")
 @example(field=(Plane, "normal"), value=(0, 1))
@@ -151,12 +151,12 @@ def test_constructor_refuses_or_stores_floats(field, value):
     "cls, name, value, message",
     [
         (MaterialSpec, "E", True, "E must be finite and > 0, got True"),
-        (ScenarioConfig, "damping", 10**400, "damping must be a finite number, got 100000... (401 digits)"),
+        (ScenarioConfig, "duration", 10**400, "duration must be a finite number, got 100000... (401 digits)"),
         (ScenarioConfig, "gravity", (0.0, True, 0.0), "gravity[1] must be a finite number, got True"),
         (Plane, "point", "abc", "plane point must be 3 numbers, got 'abc'"),
         (ScenarioConfig, "planes", ((0, 0, 1),), "planes must be a sequence of Plane, got a tuple of 1"),
     ],
-    ids=["bool-modulus", "huge-damping", "bool-gravity", "string-point", "tuple-as-plane"],
+    ids=["bool-modulus", "huge-duration", "bool-gravity", "string-point", "tuple-as-plane"],
 )
 def test_refused_value_is_named_in_the_message(cls, name, value, message):
     with pytest.raises(ValidationError) as err:
@@ -179,7 +179,9 @@ STATE = init_sim(BALL, MaterialSpec(**{**VALID[MaterialSpec], "gas_model": "isot
 SHORT = ScenarioConfig(duration=3e-4)  # three steps
 
 
-def _indent(indenter=Indenter(vertex=0), target_depth=0.01, n_levels=3, state=STATE,
+# vertex 25 is the top of the 42-vertex ball, where the default axis
+# (0, 0, -1) enters the surface
+def _indent(indenter=Indenter(vertex=25), target_depth=0.01, n_levels=3, state=STATE,
             gravity=(0.0, 0.0, 0.0)):
     # the minimisation of the first level would start here
     with mock.patch.object(simulator, "lbfgs", _accepted):
@@ -190,6 +192,14 @@ def _run(state=STATE, config=SHORT, observe=None):
     # the first step would be taken here
     with mock.patch.object(simulator, "_advance", _accepted):
         run(state, config, observe)
+
+
+def test_the_defaults_of_the_refusal_probes_are_accepted():
+    # a probe whose own defaults were refused would pass every draw above
+    # without ever reaching the work
+    for probe in (_indent, _run):
+        with pytest.raises(_Accepted):
+            probe()
 
 
 SERIES = IndentationSeries(

@@ -72,7 +72,7 @@ class TestParseSeries:
         series = make_series([(1.23456789012345, 0.00123456789), (2.0, 0.01), (3.5, 0.02)])
         path = tmp_path / "series.csv"
         serialize_series(series, path)
-        again = parse_series(path, 0.13, 8.6e-4, object_id="test")
+        again = parse_series(path, 0.13, 8.6e-4)
         assert again.forces == series.forces
         assert again.depths == series.depths
 

@@ -25,7 +25,6 @@ from inflatekit.simulator import (
     Plane,
     ScenarioConfig,
     SimState,
-    equivalent_radius,
     indent_virtual,
     init_sim,
     run,
@@ -94,7 +93,6 @@ class TestSpecs:
                 {"dt": bad},
                 {"duration": bad},
                 {"gravity": (0.0, 0.0, bad)},
-                {"damping": bad},
             ):
                 with pytest.raises(ValidationError):
                     ScenarioConfig(**kwargs)
@@ -188,7 +186,7 @@ class TestInit:
 
     def test_equivalent_radius(self):
         state = ball_state(subdivisions=3)
-        assert equivalent_radius(state) == pytest.approx(0.13, rel=0.01)
+        assert geometry.equivalent_radius(state.volume) == pytest.approx(0.13, rel=0.01)
 
 
 class TestDynamics:
@@ -416,7 +414,7 @@ class TestBounce:
 class TestRun:
     # 162 vertices pushed into the floor, lifted off by an upward load and
     # carried into a ceiling: a floor contact, a separation and a ceiling
-    # contact held to the end, under viscous damping
+    # contact held to the end
     CONFIG = ScenarioConfig(
         gravity=(0.0, 0.0, 1000.0),
         planes=(
@@ -424,7 +422,6 @@ class TestRun:
             Plane(point=(0.0, 0.0, 0.28), normal=(0.0, 0.0, -1.0)),
         ),
         restitution=0.75,
-        damping=5.0,
         duration=0.03,
     )
 
@@ -548,17 +545,19 @@ class TestIndentation:
             indent_virtual(ball_state(subdivisions=1), Indenter(vertex=0), target_depth, n_levels,
                            gravity=(0.0, 0.0, 0.0))
 
-    def test_indenter_in_the_support_cap_rejected_before_any_minimisation(self, monkeypatch):
-        # the bottom vertex with the default axis (0, 0, -1) lies in the
-        # fixed cap: the axis points out of the surface there
+    @pytest.mark.parametrize("vertex", [28, 0], ids=["in-support-cap", "on-the-equator"])
+    def test_indenter_outside_the_entry_cap_rejected_before_any_minimisation(
+        self, monkeypatch, vertex
+    ):
+        # with the default axis (0, 0, -1), the bottom vertex 28 lies in the
+        # fixed cap, where the axis points out of the surface, and vertex 0
+        # on the equator, where it runs along the surface
         monkeypatch.setattr(simulator, "lbfgs", None)  # any minimisation would fail
-        state = ball_state()
-        bottom = int(np.argmin(state.vertices[:, 2]))
         with pytest.raises(ValidationError) as err:
-            indent_virtual(state, Indenter(vertex=bottom), target_depth=0.01, n_levels=3)
+            indent_virtual(ball_state(), Indenter(vertex=vertex), target_depth=0.01, n_levels=3)
         assert str(err.value) == (
-            f"indenter vertex {bottom} lies in the 30-degree support cap around the antipode "
-            "of its axis; the axis must point into the surface"
+            f"indenter vertex {vertex} lies more than 30 degrees from the pole where its axis "
+            "enters the surface; the axis must point into the surface"
         )
 
     def test_series_has_increasing_force_and_depth(self):
@@ -679,7 +678,13 @@ RELAX_DAMPING = 50.0  # 1/s
 
 
 def pinned_step(state, config, pinned, pinned_positions):
-    """step() with the pinned vertices held in place at zero velocity."""
+    """step() with viscous damping at the rate RELAX_DAMPING and the pinned
+    vertices held in place at zero velocity.
+
+    The velocities are scaled by (1 - RELAX_DAMPING dt) before the step, so
+    the step makes the damped update v (1 - RELAX_DAMPING dt) + dt F / m.
+    """
+    state = replace(state, velocities=state.velocities * (1.0 - RELAX_DAMPING * config.dt))
     state = step(state, config)
     x = state.vertices.copy()
     v = state.velocities.copy()
@@ -690,7 +695,7 @@ def pinned_step(state, config, pinned, pinned_positions):
 
 def damped_indentation_forces(state, ind, config, target_depth, n_levels, speed=0.01):
     """Reaction forces of the former damped advance-and-relax indentation of
-    ind, stepped with config's dt, gravity and damping."""
+    ind, stepped with config's dt and gravity."""
     model = state._model
     axis = np.asarray(ind.axis)
     x = state.mesh.vertices
@@ -705,7 +710,6 @@ def damped_indentation_forces(state, ind, config, target_depth, n_levels, speed=
     free = np.ones(state.mesh.n_vertices, dtype=bool)
     free[pinned] = False
     gravity = model.masses[:, None] * np.asarray(config.gravity)
-    damped = replace(config, damping=max(config.damping, RELAX_DAMPING))
     forces = []
     depth = 0.0
     for level in range(1, n_levels + 1):
@@ -713,9 +717,9 @@ def damped_indentation_forces(state, ind, config, target_depth, n_levels, speed=
         while depth < depth_target:
             depth = min(depth + speed * config.dt, depth_target)
             pos = np.vstack([(x0 + depth * axis)[None, :], support_pos])
-            state = pinned_step(state, damped, pinned, pos)
+            state = pinned_step(state, config, pinned, pos)
         for i in range(200_000):
-            state = pinned_step(state, damped, pinned, pos)
+            state = pinned_step(state, config, pinned, pos)
             if state.kinetic_energy < RELAX_KE_TOL and (i + 1) % 200 == 0:
                 f = model.internal_forces(state.mesh.vertices, state.Pg, 0) + gravity
                 if np.linalg.norm(f[free], axis=1).max() < RELAX_FORCE_TOL:
