@@ -1,7 +1,7 @@
 """Small numerical solvers in plain Python and numpy.
 
-Brent's root finder and a limited-memory BFGS minimiser, so that only the
-shell collocation solver needs scipy.
+Brent's root finder and a limited-memory BFGS minimiser; with the
+collocation solver in `_bvp`, the package needs no scipy.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._bvp import solve_bvp
 from ._solvers import brentq
 from .errors import NonConvergenceError, ValidationError, instance, number, poisson, positive
 
@@ -184,13 +185,20 @@ def _check_depth(W0: float) -> None:
         raise ValidationError(f"W0 must be finite and <= 0, got {W0}")
 
 
-def _membrane_rhs(rho, y, p):
-    psi, dpsi, d2psi, _w = y
-    c = p[0]
+def _membrane_slopes(rho, y, p):
+    """Psi held off 0, q = rho^2/2 - c, and W' = g, W'' = dg from the first
+    integral."""
+    psi, dpsi = y[0], y[1]
     psi_safe = np.where(np.abs(psi) < 1e-12, 1e-12, psi)
-    q = rho**2 / 2.0 - c
+    q = rho**2 / 2.0 - p[0]
     g = rho - q / psi_safe  # W'
     dg = (1.0 - rho / psi_safe) + q / psi_safe**2 * dpsi
+    return psi_safe, q, g, dg
+
+
+def _membrane_rhs(rho, y, p):
+    psi, dpsi, d2psi, _w = y
+    _, _, g, dg = _membrane_slopes(rho, y, p)
     d3psi = (
         -2.0 * d2psi / rho
         + dpsi / rho**2
@@ -202,7 +210,31 @@ def _membrane_rhs(rho, y, p):
     return np.vstack([dpsi, d2psi, d3psi, g])
 
 
+def _membrane_jac(rho, y, p):
+    """d(_membrane_rhs)/dy (4, 4, m) and d/dc (4, 1, m)."""
+    psi, dpsi = y[0], y[1]
+    psi_safe, q, g, dg = _membrane_slopes(rho, y, p)
+    # derivatives of g and dg by psi_safe, dpsi and c; psi_safe is constant
+    # where it holds psi off 0
+    free = psi_safe == psi
+    g_psi, g_c = np.where(free, q / psi_safe**2, 0.0), 1.0 / psi_safe
+    dg_psi = np.where(free, rho / psi_safe**2 - 2.0 * q / psi_safe**3 * dpsi, 0.0)
+    dg_dpsi, dg_c = q / psi_safe**2, -dpsi / psi_safe**2
+    inner = 1.0 - g / rho  # d3psi = .. + dg (1 - g / rho) + g / rho
+    df_dy = np.zeros((4, 4, len(rho)))
+    df_dy[0, 1] = df_dy[1, 2] = 1.0
+    df_dy[2, 0] = -1.0 / rho**3 + dg_psi * inner + g_psi * (1.0 - dg) / rho
+    df_dy[2, 1] = 1.0 / rho**2 + dg_dpsi * inner
+    df_dy[2, 2] = -2.0 / rho
+    df_dy[3, 0] = g_psi
+    df_dp = np.zeros((4, 1, len(rho)))
+    df_dp[2, 0] = dg_c * inner + g_c * (1.0 - dg) / rho
+    df_dp[3, 0] = g_c
+    return df_dy, df_dp
+
+
 def _membrane_bc(W0, nu):
+    """The boundary residuals at depth W0 and their Jacobian."""
     # The far field approaches the unindented state with the algebraic tail
     # Psi = rho/2 - c/rho forced by the point load; truncating without the
     # tail would inject an O(c) error growing inward as 1/rho.
@@ -223,10 +255,21 @@ def _membrane_bc(W0, nu):
             ]
         )
 
-    return bc
+    def bc_jac(ya, yb, p):
+        c = p[0]
+        psi0 = ya[0]
+        dya, dyb = np.zeros((5, 4)), np.zeros((5, 4))
+        dya[0, :2] = -nu, RHO0
+        dya[1, 0] = -1.5 * RHO0 * (RHO0**2 / 2.0 - c) / psi0**2
+        dya[1, 3] = dyb[2, 3] = dyb[3, 0] = dyb[4, 1] = 1.0
+        dp = np.array([[0.0], [-1.5 * RHO0 / psi0], [0.0], [1.0 / RHO_INF], [-1.0 / RHO_INF**2]])
+        return dya, dyb, dp
+
+    return bc, bc_jac
 
 
 def _full_rhs_factory(tau):
+    """The full system's right-hand side at bendability tau and its Jacobian."""
     tau2 = tau * tau
 
     def rhs(rho, y, p):
@@ -244,10 +287,27 @@ def _full_rhs_factory(tau):
         )
         return np.vstack([phi, dphi, d2phi, dpsi, d2psi, d3psi])
 
-    return rhs
+    def jac(rho, y, p):
+        w, phi, dphi, psi, dpsi, d2psi = y
+        df_dy = np.zeros((6, 6, len(rho)))
+        df_dy[0, 1] = df_dy[1, 2] = df_dy[3, 4] = df_dy[4, 5] = 1.0
+        df_dy[2, 1] = tau2 * psi / rho + 1.0 / rho**2
+        df_dy[2, 2] = -1.0 / rho
+        df_dy[2, 3] = tau2 * (phi - rho) / rho
+        df_dy[5, 1] = (1.0 - dphi) / rho
+        df_dy[5, 2] = 1.0 - phi / rho
+        df_dy[5, 3] = -1.0 / rho**3
+        df_dy[5, 4] = 1.0 / rho**2
+        df_dy[5, 5] = -2.0 / rho
+        df_dp = np.zeros((6, 1, len(rho)))
+        df_dp[2, 0] = -tau2 / rho
+        return df_dy, df_dp
+
+    return rhs, jac
 
 
 def _full_bc(W0, nu):
+    """The boundary residuals at depth W0 and their Jacobian."""
     def bc(ya, yb, p):
         return np.array(
             [
@@ -261,7 +321,15 @@ def _full_bc(W0, nu):
             ]
         )
 
-    return bc
+    def bc_jac(ya, yb, p):
+        dya, dyb = np.zeros((7, 6)), np.zeros((7, 6))
+        dya[0, 0] = dya[1, 1] = 1.0
+        dya[2, 3:5] = -nu, RHO0
+        dyb[3, 0] = dyb[4, 1] = dyb[5, 3] = dyb[6, 4] = 1.0
+        dp = np.array([[0.0]] * 5 + [[1.0 / RHO_INF], [-1.0 / RHO_INF**2]])
+        return dya, dyb, dp
+
+    return bc, bc_jac
 
 
 def _base_grid(membrane: bool, tau: float) -> np.ndarray:
@@ -279,17 +347,11 @@ def _base_grid(membrane: bool, tau: float) -> np.ndarray:
     return np.concatenate([rho[:k], np.linspace(rho[k], RHO_INF, n + 1)])
 
 
-def solve_bvp(*args, **kwargs):
-    """scipy.integrate.solve_bvp, imported on the first solve: a process
-    that never solves a shell does not load scipy.integrate."""
-    from scipy.integrate import solve_bvp
-
-    return solve_bvp(*args, **kwargs)
-
-
 class _ContinuationState:
     """Carries the last converged profile, on the base grid, between depth
-    steps.  Picks the equation set once: rhs, bc(W0, nu), rows of W, Psi, Psi'."""
+    steps.  Picks the equation set once: the right-hand side with its
+    Jacobian, bc(W0, nu) giving the boundary residuals with theirs, and the
+    rows of W, Psi, Psi'."""
 
     def __init__(self, membrane: bool, nu: float, tau: float):
         self.nu = nu
@@ -297,10 +359,12 @@ class _ContinuationState:
         rho = self.x = _base_grid(membrane, tau)
         zeros = np.zeros_like(rho)
         if membrane:
-            self.rhs, self.bc, self.rows = _membrane_rhs, _membrane_bc, (3, 0, 1)
+            self.rhs, self.jac, self.bc = _membrane_rhs, _membrane_jac, _membrane_bc
+            self.rows = (3, 0, 1)
             self.y = np.vstack([rho / 2.0, np.full_like(rho, 0.5), zeros, zeros])
         else:
-            self.rhs, self.bc, self.rows = _full_rhs_factory(tau), _full_bc, (0, 3, 4)
+            (self.rhs, self.jac), self.bc = _full_rhs_factory(tau), _full_bc
+            self.rows = (0, 3, 4)
             self.y = np.vstack([zeros, zeros, zeros, rho / 2.0, np.full_like(rho, 0.5), zeros])
         self.p = np.array([0.0])
         self.sol = None
@@ -323,14 +387,17 @@ class _ContinuationState:
         if p[0] == 0.0 and W0_target != 0.0:
             p[0] = abs(W0_target) / 2.0  # cap-theory force scale
         start = time.perf_counter()
-        bc = self.bc(W0_target, self.nu)
-        sol = solve_bvp(self.rhs, bc, x, y, p=p, tol=tol, max_nodes=MAX_NODES)
+        bc, bc_jac = self.bc(W0_target, self.nu)
+        sol = solve_bvp(self.rhs, bc, x, y, p=p, fun_jac=self.jac, bc_jac=bc_jac,
+                        tol=tol, max_nodes=MAX_NODES)
         report = {
             "W0": W0_target,
             "tol": tol,
             "status": int(sol.status),
             "nodes": len(sol.x),
             "niter": int(sol.niter),
+            "jacobians": sol.jacobians,
+            "max_rms_residual": sol.max_rms_residual,
             "wall_s": time.perf_counter() - start,
         }
         _log.debug("solve_bvp %s", report, extra={"bvp": report})
@@ -404,7 +471,8 @@ def solve_indentation(
     the continuation took; at W0 = 0 it is the exact unindented state on
     the base grid, with all counts 0.  Each collocation solve also logs one
     DEBUG record on ``inflatekit.shell`` whose ``bvp`` attribute holds its
-    target W0, tolerance, status, final nodes, iterations and wall time.
+    target W0, tolerance, status, final nodes, iterations, Newton Jacobians
+    factored, largest RMS relative residual and wall time.
     The dimensionless force comes from the vertical force balance at the
     inner boundary (the first-integral constant).
     """
