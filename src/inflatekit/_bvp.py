@@ -5,7 +5,8 @@ method of Kierzenka & Shampine (ACM TOMS 27(3), 2001): a C1 cubic spline
 collocated at interval midpoints (4th-order Lobatto IIIA), Newton on the
 collocation residuals with Jacobian reuse and Armijo backtracking, and mesh
 refinement on a 5-point Lobatto estimate of the RMS relative residual, all
-with scipy's constants.  Two things differ:
+with scipy's constants; the iterates, meshes and counts are scipy's.  Three
+things differ:
 
 - the caller passes analytic Jacobians of the right-hand side and the
   boundary conditions (scipy would difference them);
@@ -13,7 +14,8 @@ with scipy's constants.  Two things differ:
   structured-QR cyclic reduction (S. J. Wright, SIAM J. Sci. Stat. Comput.
   13, 1992) instead of a sparse LU.  Block elimination without orthogonal
   steps is unstable on systems with growing and decaying modes, which the
-  full shell system has.
+  full shell system has;
+- the residual estimate reuses Newton's last evaluation of fun and bc.
 
 Only real problems with no singular term are handled.
 """
@@ -183,8 +185,8 @@ def _factor(fun_jac, bc_jac, x, h, y, p, y_middle):
 
 
 def _newton(fun, bc, fun_jac, bc_jac, x, h, y, p, tol):
-    """scipy's solve_newton: returns y, p, the Jacobians factored and whether
-    one was singular."""
+    """scipy's solve_newton: returns y, p, col_res, f, f_middle and bc_res at
+    them, the Jacobians factored and whether one was singular."""
     # midpoint residuals r_middle = 1.5 col_res / h, to 1.5 orders below tol
     tol_r = 2 / 3 * h * 5e-2 * tol
     col_res, y_middle, f, f_middle = _collocation(fun, y, p, x, h)
@@ -197,7 +199,7 @@ def _newton(fun, bc, fun_jac, bc_jac, x, h, y, p, tol):
             try:
                 factored = _factor(fun_jac, bc_jac, x, h, y, p, y_middle)
             except np.linalg.LinAlgError:
-                return y, p, njev, True
+                return y, p, col_res, f, f_middle, bc_res, njev, True
             y_step, p_step = factored.solve(col_res.T, bc_res)
             cost = _cost(y_step, p_step)
         alpha = 1
@@ -224,7 +226,7 @@ def _newton(fun, bc, fun_jac, bc_jac, x, h, y, p, tol):
             recompute_jac = False
         else:
             recompute_jac = True
-    return y, p, njev, False
+    return y, p, col_res, f, f_middle, bc_res, njev, False
 
 
 def _cost(y_step, p_step):
@@ -281,11 +283,11 @@ def solve_bvp(fun, bc, x, y, p=None, *, fun_jac, bc_jac, tol=1e-3, max_nodes=100
     tol = max(tol, 100 * EPS)
     iteration = jacobians = 0
     while True:
-        y, p, njev, singular = _newton(fun, bc, fun_jac, bc_jac, x, h, y, p, tol)
+        y, p, col_res, f, f_middle, bc_res, njev, singular = _newton(
+            fun, bc, fun_jac, bc_jac, x, h, y, p, tol
+        )
         iteration += 1
         jacobians += njev
-        col_res, _, f, f_middle = _collocation(fun, y, p, x, h)
-        max_bc_res = np.max(abs(bc(y[:, 0], y[:, -1], p)))
         sol = CubicHermite(x, y, f)
         rms_res = _rms_residuals(fun, sol, x, h, p, 1.5 * col_res / h, f_middle)
         if singular:
@@ -301,7 +303,7 @@ def solve_bvp(fun, bc, x, y, p=None, *, fun_jac, bc_jac, tol=1e-3, max_nodes=100
             x = _refine(x, insert_1, insert_2)
             h = np.diff(x)
             y = sol(x)
-        elif max_bc_res <= tol:
+        elif np.max(abs(bc_res)) <= tol:
             status = 0
             break
         elif iteration >= MAX_ITERATION:

@@ -151,9 +151,9 @@ def _load_calibration(path) -> Calibration:
 
 
 def _radius_from_mesh(args) -> float:
-    mesh = load_mesh(args.mesh)
     if args.seed_vertex is None:
         raise ValidationError("--seed-vertex is required with --mesh")
+    mesh = load_mesh(args.mesh)
     if args.patch_radius is not None:
         hint = args.patch_radius
     else:

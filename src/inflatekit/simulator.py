@@ -179,11 +179,8 @@ def _equibiaxial_stretch(material: MaterialSpec, tension: float) -> float:
 class _MembraneModel:
     """Precomputed discretization shared by all states of one simulation.
 
-    Holds constants and one mutable attribute, _last_constants: the step
-    constants of the last config stepped, cached by _constants_for.  The
-    cache is swapped as one (key, constants) tuple, so a thread reading it
-    while another steps always sees a key with its own constants, and one
-    model may serve several threads at once.
+    Holds only constants, set once in __init__; what a step derives from its
+    config is carried by the states it makes (SimState._stepped).
     """
 
     # a set-up value that overflows is refused below, with no numpy warning
@@ -264,8 +261,6 @@ class _MembraneModel:
             raise ValidationError(
                 "material gives zero masses or non-finite membrane forces on this mesh"
             )
-        # step constants of the last config stepped: (key, constants)
-        self._last_constants = (None, None)
 
     def _shape(self, xt: np.ndarray):
         """Face corners (3, 3, m) from one gather of the (3, n) positions xt,
@@ -360,23 +355,18 @@ class _MembraneModel:
         work = float((load * x.T).sum())
         return membrane + gas - work, -forces.T
 
-    def _constants_for(self, config: ScenarioConfig):
+    def step_constants(self, config: ScenarioConfig):
         """dt / m (n,), the prestress offset plus the weight m g as (3, n),
         and the unit normals (k, 3) and offsets normal . point (k,) of the
-        planes of config, computed once for the last config stepped."""
-        key = (config.dt, config.gravity, config.planes)
-        cached_key, constants = self._last_constants
-        if cached_key != key:
-            normals = np.array([p.normal for p in config.planes]).reshape(-1, 3)
-            points = np.array([p.point for p in config.planes]).reshape(-1, 3)
-            constants = (
-                config.dt / self.masses,
-                self.pressure_offset.T + np.multiply.outer(config.gravity, self.masses),
-                normals,
-                (normals * points).sum(axis=1),
-            )
-            self._last_constants = (key, constants)
-        return constants
+        planes of config."""
+        normals = np.array([p.normal for p in config.planes]).reshape(-1, 3)
+        points = np.array([p.point for p in config.planes]).reshape(-1, 3)
+        return (
+            config.dt / self.masses,
+            self.pressure_offset.T + np.multiply.outer(config.gravity, self.masses),
+            normals,
+            (normals * points).sum(axis=1),
+        )
 
 
 @dataclass(frozen=True)
@@ -384,7 +374,8 @@ class SimState:
     """Snapshot of the membrane simulation at one instant.
 
     Holds what the integrator advances; the mesh, enclosed volume and gas
-    pressure are derived from the (read-only) positions on read.
+    pressure are derived from the (read-only) positions on read.  A state a
+    step made carries that step's model, config and step constants.
     """
 
     vertices: np.ndarray  # (n, 3) m
@@ -393,9 +384,9 @@ class SimState:
     _model: _MembraneModel = field(repr=False, compare=False)
     # per-plane contact bookkeeping: (in_contact, incoming COM normal speed)
     contact_state: tuple = ()
-    # the planes contact_state refers to; a step with other planes starts
-    # them out of contact
-    _contact_planes: tuple = field(default=(), repr=False, compare=False)
+    # ((model, config), step constants) of the step that made this state;
+    # contact_state refers to that config's planes (none if no step made it)
+    _stepped: tuple = field(default=(None, None), repr=False, compare=False)
     # False only for arrays the integrator has just built and never writes
     # again: they are kept as given; a caller's arrays are copied
     _copy: InitVar[bool] = True
@@ -477,22 +468,27 @@ def _advance(state: SimState, config: ScenarioConfig, n_steps: int, observe=None
     at the gas pressure of each step's own volume; a volume at or below
     zero, a collapsed element or a non-finite state raises
     SimulationInstabilityError naming the frame, with numpy's warnings off
-    (observe runs under the caller's).  Returns the final state and the
-    contact episodes entered per plane.
+    (observe runs under the caller's).  Reuses the step constants state
+    carries when the same model and config made it; planes other than that
+    config's start out of contact.  Returns the final state and the contact
+    episodes entered per plane.
     """
     caller = np.geterr() if observe is not None else None
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         model = state._model
         dt = config.dt
-        dt_m, load, normals, offsets = model._constants_for(config)
+        made_by, constants = state._stepped
+        contact = list(state.contact_state)
+        if made_by != (model, config):
+            constants = model.step_constants(config)
+            if (made_by[1].planes if made_by else ()) != config.planes:
+                contact = [(False, 0.0)] * len(config.planes)
+        dt_m, load, normals, offsets = constants
         masses, total_mass = model.masses, model.total_mass
         # (3, n) views of the Fortran-ordered (n, 3) state
         x = state.vertices.T
         v = state.velocities.T
         time = state.time
-        contact = list(state.contact_state)
-        if state._contact_planes != config.planes:
-            contact = [(False, 0.0)] * len(normals)
         episodes = [0] * len(normals)
 
         for k in range(1, n_steps + 1):
@@ -541,10 +537,10 @@ def _advance(state: SimState, config: ScenarioConfig, n_steps: int, observe=None
                 with np.errstate(**caller):
                     observe(k, SimState(vertices=x.T, velocities=v.T, time=time,
                                         contact_state=tuple(contact), _model=model,
-                                        _contact_planes=config.planes, _copy=False))
+                                        _stepped=((model, config), constants), _copy=False))
 
         final = SimState(vertices=x.T, velocities=v.T, time=time, contact_state=tuple(contact),
-                         _model=model, _contact_planes=config.planes, _copy=False)
+                         _model=model, _stepped=((model, config), constants), _copy=False)
         return final, tuple(episodes)
 
 

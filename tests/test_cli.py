@@ -224,11 +224,15 @@ class TestEstimate:
         # curvature-fitted R within 2% of truth; Pg scales as 1/R
         assert data["Pg_pa"] == pytest.approx(1300.0, rel=0.02)
 
-    def test_mesh_without_seed_vertex(self, tmp_path):
+    # an absent mesh would exit 1 if it were read before the flag is checked
+    @pytest.mark.parametrize("present", [True, False], ids=["mesh", "absent-mesh"])
+    def test_mesh_without_seed_vertex(self, tmp_path, capsys, present):
         cal_path = write_calibration(tmp_path)
         target = write_series(tmp_path / "target.csv", 1300.0)
         mesh_path = tmp_path / "ball.obj"
-        save_mesh(icosphere(radius=R, subdivisions=2), mesh_path)
+        if present:
+            save_mesh(icosphere(radius=R, subdivisions=2), mesh_path)
+        capsys.readouterr()
         code = main(
             [
                 "estimate",
@@ -237,6 +241,7 @@ class TestEstimate:
             ]
         )
         assert code == 2
+        assert capsys.readouterr().err == "error: --seed-vertex is required with --mesh\n"
 
     def test_neither_mesh_nor_radius_is_validation_error(self, tmp_path, capsys):
         cal_path = write_calibration(tmp_path)

@@ -294,6 +294,59 @@ class TestDynamics:
         again = replace(floor, planes=(Plane(point=(0, 0, 0), normal=(0, 0, 1)),))
         assert step(touching, again).contact_state[0][0]
 
+    FLOOR = ScenarioConfig(planes=(Plane(point=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0)),),
+                           restitution=0.75)
+
+    def test_stepping_leaves_the_model_unchanged(self):
+        state = ball_state()
+        model = state._model
+        before = dict(vars(model))
+        state = step(step(state, self.FLOOR), FREE_FALL)
+        run(state, replace(NO_GRAVITY, duration=3e-4))
+        assert vars(model).keys() == before.keys()
+        assert all(vars(model)[name] is value for name, value in before.items())
+
+    def test_chains_on_one_model_step_alike_interleaved_or_in_turn(self):
+        # one chain on the floor, one with no planes: interleaved, each step
+        # follows a step of the other chain's config on the same model
+        start = ball_state(center=(0.0, 0.0, 0.13 + 1e-5))
+        start = replace(start, velocities=np.tile([0.0, 0.0, -0.3], (len(start.vertices), 1)))
+        configs = (self.FLOOR, FREE_FALL)
+
+        def chains(order):
+            states, out = [start, start], [[], []]
+            for k in order:
+                states[k] = step(states[k], configs[k])
+                out[k].append(states[k])
+            return out[0] + out[1]
+
+        interleaved = chains([0, 1] * 12)
+        in_turn = chains([0] * 12 + [1] * 12)
+        assert interleaved[0].contact_state[0][0]
+        for a, b in zip(interleaved, in_turn):
+            np.testing.assert_array_equal(a.vertices, b.vertices)
+            np.testing.assert_array_equal(a.velocities, b.velocities)
+            assert a.contact_state == b.contact_state
+
+    def test_a_state_given_another_model_steps_like_a_fresh_state_of_it(self):
+        # the carried step constants belong to the model that made them
+        state = ball_state()
+        rng = np.random.default_rng(7)
+        state = replace(state, vertices=state.vertices + 1e-3 * rng.standard_normal((162, 3)))
+        stepped = step(state, FREE_FALL)
+        heavy = ball_state(material=replace(MATERIAL, density=3000.0))._model
+        swapped = replace(stepped, _model=heavy)
+        fresh = SimState(vertices=stepped.vertices, velocities=stepped.velocities,
+                         time=stepped.time, _model=heavy)
+        a, b = swapped, fresh
+        for _ in range(3):
+            a, b = step(a, FREE_FALL), step(b, FREE_FALL)
+            np.testing.assert_array_equal(a.vertices, b.vertices)
+            np.testing.assert_array_equal(a.velocities, b.velocities)
+        # the model matters: the same state on its own model steps otherwise
+        assert not np.array_equal(step(swapped, FREE_FALL).velocities,
+                                  step(stepped, FREE_FALL).velocities)
+
     def test_step_makes_one_geometry_pass(self, monkeypatch):
         # the successor is built from positions alone: no mesh is rebuilt
         # or validated and the volume is not gathered a second time
