@@ -18,11 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    IndexRangeError,
     InflatekitError,
     ParseError,
     SimulationInstabilityError,
     TopologyError,
     ValidationError,
+    integer,
     positive,
 )
 from .estimator import (
@@ -48,6 +50,7 @@ from .simulator import (
     MaterialSpec,
     Plane,
     ScenarioConfig,
+    _depth_levels,
     indent_virtual,
     init_sim,
     run,
@@ -153,10 +156,12 @@ def _load_calibration(path) -> Calibration:
 def _radius_from_mesh(args) -> float:
     if args.seed_vertex is None:
         raise ValidationError("--seed-vertex is required with --mesh")
+    # checked before the read, so that the exit code does not depend on the
+    # file; select_patch checks the vertex against the mesh
+    integer("--seed-vertex", args.seed_vertex, 0, math.inf, IndexRangeError)
+    hint = None if args.patch_radius is None else positive("--patch-radius", args.patch_radius)
     mesh = load_mesh(args.mesh)
-    if args.patch_radius is not None:
-        hint = args.patch_radius
-    else:
+    if hint is None:
         bbox = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)
         hint = 0.25 * float(np.linalg.norm(bbox))
     patch = select_patch(mesh, args.seed_vertex, hint)
@@ -228,9 +233,9 @@ def _parse_scenario(path):
     """Scenario JSON -> (MaterialSpec, ScenarioConfig, indent_virtual keywords or None).
 
     Checks the JSON structure and that an indent scenario has no planes;
-    the constructors check the values, and indent_virtual
-    ``indent.target_depth`` and ``levels``.  ``indent.speed`` is accepted
-    and ignored: indentation is quasi-static.
+    the constructors check the values, and ``indent.target_depth`` and
+    ``levels`` are checked as indent_virtual checks them.  ``indent.speed``
+    is accepted and ignored: indentation is quasi-static.
     """
     data = _read_json(path)
     try:
@@ -241,8 +246,8 @@ def _parse_scenario(path):
         if indent is not None:
             _table(indent, "indent", ("vertex", "target_depth"), _INDENT_OPTIONAL)
             indenter = Indenter(indent["vertex"], indent.get("axis", (0.0, 0.0, -1.0)))
-            indent = dict(indenter=indenter, target_depth=indent["target_depth"],
-                          n_levels=indent.get("levels"))
+            target_depth, n_levels = _depth_levels(indent["target_depth"], indent.get("levels"))
+            indent = dict(indenter=indenter, target_depth=target_depth, n_levels=n_levels)
         planes = data.get("planes", [])
         _check(isinstance(planes, list), "planes must be a list")
         _check(not (indent and planes), "the support is a pinned cap; planes are not supported")

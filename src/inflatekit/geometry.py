@@ -47,7 +47,7 @@ CURVATURE_RESIDUAL_WARN = 0.05
 MESH_CACHE_BYTES = 64 * 2**20
 MESH_CACHE_ENTRY_BYTES = 1024
 
-# records load_mesh converts per block, and rows save_mesh formats per write
+# lines load_mesh converts per block, and rows save_mesh formats per write
 SAVE_BLOCK_ROWS = 4096
 
 # icosphere(r, 8) has 1,310,720 faces; each level quadruples them
@@ -273,72 +273,91 @@ def load_mesh(path) -> TriMesh:
 def _parse_obj(data: bytes, path: Path) -> TriMesh:
     """Parse the OBJ bytes read from path.
 
-    The records are collected line by line and converted to arrays one block
-    at a time, so a parse holds the arrays it builds and one block of tokens.
-    A record that does not parse ends the read with _first_error: the error
-    of the file's first bad line, as a line-by-line reader reports it.
+    The lines are read SAVE_BLOCK_ROWS at a time and their records converted
+    to arrays one block at a time, so a parse holds the arrays it builds and
+    one block of tokens.  When a block does not parse or decode, the lines
+    past the blocks that converted are read again one line a block, so the
+    error is that of the file's first bad line, as a line-by-line reader
+    reports it.
     """
-    # the comprehension drops each block of tokens once it is converted
-    blocks = [_convert_block(*block, data, str(path)) for block in _obj_blocks(data, str(path))]
-    vertices = np.concatenate([v for v, _ in blocks])
-    if not vertices.size:
-        raise ParseError("no vertices in file", None, str(path))
-    faces = np.concatenate([f for _, f in blocks])
-    return TriMesh(vertices=vertices.reshape(-1, 3), faces=faces)
+    path = str(path)
+    blocks = []
+    try:
+        # each block of tokens is dropped once it is converted
+        for block in _obj_blocks(data, path, SAVE_BLOCK_ROWS):
+            blocks.append(_convert_block(*block, path))
+    except (ParseError, IndexRangeError, UnicodeDecodeError):
+        converted = len(blocks) * SAVE_BLOCK_ROWS
+    else:
+        vertices = np.concatenate([v for v, _ in blocks])
+        if not vertices.size:
+            raise ParseError("no vertices in file", None, path)
+        faces = np.concatenate([f for _, f in blocks])
+        return TriMesh(vertices=vertices.reshape(-1, 3), faces=faces)
+    for block in _obj_blocks(data, path, 1):
+        if block[0] > converted:
+            _convert_block(*block, path)
+    raise AssertionError("a block failed to parse but every line parses")
 
 
-def _obj_blocks(data: bytes, path: str):
-    """The v and f records of the OBJ bytes, SAVE_BLOCK_ROWS records a block.
+def _obj_blocks(data: bytes, path: str, rows: int):
+    """The v and f records of the OBJ bytes, in blocks of rows lines.
 
-    A block is (coords, tokens, f_sizes, f_seen): the coordinate tokens of
-    the vertices, the index tokens of the faces, and per face its index
-    count and the vertices defined before it (negative indices count back
-    from there).  A record too short to parse raises _first_error.
+    A block is (line, coords, tokens, f_sizes, f_seen): the number of its
+    last line, the coordinate tokens of the vertices, the index tokens of
+    the faces, and per face its index count and the vertices defined before
+    it (negative indices count back from there).  A record too short to
+    parse raises ParseError at its line.
     """
     defined = 0  # vertex records so far; the faces after one vertex share its int
-    records = 0  # v and f records so far
-    block = coords, tokens, f_sizes, f_seen = [], [], [], []
-    # decoded lazily with universal newlines, as open() would: a decoding
-    # error past a truncated record or a failing block is never reached
+    line = 0
+    coords, tokens, f_sizes, f_seen = [], [], [], []
+    # decoded lazily with universal newlines, as open() would: one line a
+    # block, a decoding error past the first bad line is never reached
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
-        for raw in fh:
+        for line, raw in enumerate(fh, start=1):
             parts = raw.split()
-            if not parts:
-                continue
-            tag = parts[0]
-            if tag != "v" and tag != "f":
-                continue  # "#..." comments and other records
-            if len(parts) < 4:
-                raise _first_error(data, path)
+            tag = parts[0] if parts else None  # blank lines, comments, other records: nothing
             if tag == "v":
+                if len(parts) < 4:
+                    raise ParseError("vertex needs 3 coordinates", line, path)
                 coords += parts[1:4]
                 defined += 1
-            else:
+            elif tag == "f":
+                if len(parts) < 4:
+                    raise ParseError("face needs >= 3 indices", line, path)
                 if "/" in raw:
                     # only the vertex index of v/vt/vn triplets is used
                     parts = [p.partition("/")[0] for p in parts]
                 tokens += parts[1:]
                 f_sizes.append(len(parts) - 1)
                 f_seen.append(defined)
-            records += 1
-            if records % SAVE_BLOCK_ROWS == 0:
-                yield block
-                block = coords, tokens, f_sizes, f_seen = [], [], [], []
-    yield block
+            if line % rows == 0:
+                yield line, coords, tokens, f_sizes, f_seen
+                coords, tokens, f_sizes, f_seen = [], [], [], []
+    yield line, coords, tokens, f_sizes, f_seen
 
 
-def _convert_block(coords, tokens, f_sizes, f_seen, data: bytes, path: str):
+def _convert_block(line, coords, tokens, f_sizes, f_seen, path: str):
     """The flat vertex coordinates and (k, 3) faces of one block of records.
 
-    A token that does not convert, or a face index of 0, raises _first_error.
+    A bad record raises at line, the block's last: a non-numeric vertex,
+    then a non-integer or overflowing face index in token order, then a
+    zero index.
     """
     try:
         vertices = np.fromiter(map(float, coords), np.float64, len(coords))
+    except ValueError:
+        raise ParseError("non-numeric vertex", line, path) from None
+    try:
         idx = np.fromiter(map(int, tokens), np.int64, len(tokens))
-    except (ValueError, OverflowError):
-        raise _first_error(data, path) from None
+    except ValueError:
+        raise ParseError("non-integer face index", line, path) from None
+    except OverflowError:
+        token = next(t for t in tokens if not -(2**63) <= int(t) < 2**63)
+        raise IndexRangeError(f"{path}:{line}: face index {token} overflows") from None
     if (idx == 0).any():
-        raise _first_error(data, path)
+        raise IndexRangeError(f"{path}:{line}: OBJ face indices are 1-based; got 0")
 
     # 1-based to 0-based, and negative indices counted back, in place
     sizes = np.array(f_sizes, dtype=np.int64)
@@ -350,41 +369,6 @@ def _convert_block(coords, tokens, f_sizes, f_seen, data: bytes, path: str):
     first = np.repeat(ends - sizes, n_tri)
     fan = np.arange(len(first)) - np.repeat(np.cumsum(n_tri) - n_tri, n_tri)
     return vertices, np.stack([idx[first], idx[first + fan + 1], idx[first + fan + 2]], axis=1)
-
-
-def _first_error(data: bytes, path: str) -> ParseError | IndexRangeError:
-    """The error of the first bad record of the OBJ bytes, read line by line.
-
-    Decoded lazily as _obj_blocks decodes, so bytes past the bad record are
-    never decoded.  On a face line a non-integer or an overflowing index is
-    reported in token order, and a zero index after both.
-    """
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                if len(parts) < 4:
-                    return ParseError("vertex needs 3 coordinates", lineno, path)
-                try:
-                    list(map(float, parts[1:4]))
-                except ValueError:
-                    return ParseError("non-numeric vertex", lineno, path)
-            elif parts[0] == "f":
-                if len(parts) < 4:
-                    return ParseError("face needs >= 3 indices", lineno, path)
-                indices = []
-                for token in (p.partition("/")[0] for p in parts[1:]):
-                    try:
-                        indices.append(np.int64(int(token)))
-                    except ValueError:
-                        return ParseError("non-integer face index", lineno, path)
-                    except OverflowError:
-                        return IndexRangeError(f"{path}:{lineno}: face index {token} overflows")
-                if 0 in indices:
-                    return IndexRangeError(f"{path}:{lineno}: OBJ face indices are 1-based; got 0")
-    raise AssertionError("a block failed to parse but every record parses")
 
 
 def save_mesh(mesh: TriMesh, path) -> None:

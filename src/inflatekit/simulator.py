@@ -617,6 +617,18 @@ RELAX_MAX_ITER = 15_000
 SUPPORT_CAP_DEG = 30.0
 
 
+def _depth_levels(target_depth, n_levels) -> tuple:
+    """indent_virtual's target_depth and n_levels, checked, with the default
+    level count ceil(target_depth / 5 mm), at least 3; at most MAX_LEVELS."""
+    target_depth = positive("target_depth", target_depth, InsufficientDataError)
+    if n_levels is None:
+        n_levels = max(3, math.ceil(target_depth / 0.005))
+    n_levels = integer("n_levels", n_levels, 3, math.inf, InsufficientDataError)
+    if n_levels > MAX_LEVELS:
+        raise ValidationError(f"{show(n_levels)} depth levels, above the cap of {MAX_LEVELS:,}")
+    return target_depth, n_levels
+
+
 def indent_virtual(
     state: SimState,
     indenter: Indenter,
@@ -643,13 +655,8 @@ def indent_virtual(
     instance("state", state, SimState)
     ind = instance("indenter", indenter, Indenter)
     gravity = vector("gravity", gravity)
-    target_depth = positive("target_depth", target_depth, InsufficientDataError)
+    target_depth, n_levels = _depth_levels(target_depth, n_levels)
     integer("indenter vertex", ind.vertex, 0, len(state.vertices) - 1, IndexRangeError)
-    if n_levels is None:
-        n_levels = max(3, math.ceil(target_depth / 0.005))
-    n_levels = integer("n_levels", n_levels, 3, math.inf, InsufficientDataError)
-    if n_levels > MAX_LEVELS:
-        raise ValidationError(f"{show(n_levels)} depth levels, above the cap of {MAX_LEVELS:,}")
 
     axis = np.asarray(ind.axis)
     x = state.vertices.copy(order="F")

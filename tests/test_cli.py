@@ -224,9 +224,21 @@ class TestEstimate:
         # curvature-fitted R within 2% of truth; Pg scales as 1/R
         assert data["Pg_pa"] == pytest.approx(1300.0, rel=0.02)
 
-    # an absent mesh would exit 1 if it were read before the flag is checked
+    # an absent mesh would exit 1 if it were read before the flags are checked
     @pytest.mark.parametrize("present", [True, False], ids=["mesh", "absent-mesh"])
-    def test_mesh_without_seed_vertex(self, tmp_path, capsys, present):
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ([], "--seed-vertex is required with --mesh"),
+            (["--seed-vertex", "0", "--patch-radius", "nan"],
+             "--patch-radius must be finite and > 0, got nan"),
+            (["--seed-vertex", "0", "--patch-radius", "-1"],
+             "--patch-radius must be finite and > 0, got -1.0"),
+            (["--seed-vertex", "-3"], "--seed-vertex must be in [0, inf], got -3"),
+        ],
+        ids=["no-seed-vertex", "nan-patch-radius", "negative-patch-radius", "negative-seed-vertex"],
+    )
+    def test_mesh_without_seed_vertex(self, tmp_path, capsys, present, flags, message):
         cal_path = write_calibration(tmp_path)
         target = write_series(tmp_path / "target.csv", 1300.0)
         mesh_path = tmp_path / "ball.obj"
@@ -237,11 +249,11 @@ class TestEstimate:
             [
                 "estimate",
                 "--series", str(target), "--calibration", str(cal_path),
-                "--mesh", str(mesh_path), "--thickness", str(H), "--wrinkles", "8",
+                "--mesh", str(mesh_path), "--thickness", str(H), "--wrinkles", "8", *flags,
             ]
         )
         assert code == 2
-        assert capsys.readouterr().err == "error: --seed-vertex is required with --mesh\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_neither_mesh_nor_radius_is_validation_error(self, tmp_path, capsys):
         cal_path = write_calibration(tmp_path)
@@ -288,7 +300,7 @@ class TestEstimate:
             ]
         )
         assert code == 2
-        assert capsys.readouterr() == ("", "error: radius_hint must be finite and > 0, got inf\n")
+        assert capsys.readouterr() == ("", "error: --patch-radius must be finite and > 0, got inf\n")
 
     def test_missing_wrinkles_is_validation_error(self, tmp_path, capsys):
         cal_path = write_calibration(tmp_path)
@@ -1093,13 +1105,24 @@ class TestSimulate:
              "the support is a pinned cap; planes are not supported"),
             # dynamic runs have no viscous drag; a damping rate would change the physics
             ({"damping": 5.0}, "unknown scenario JSON keys ['damping']"),
+            ({"indent": {"vertex": 25, "target_depth": -1}},
+             "target_depth must be finite and > 0, got -1"),
+            ({"indent": {"vertex": 25, "target_depth": 0.01, "levels": 2}},
+             "n_levels must be in [3, inf], got 2"),
+            # the default level count, one per 5 mm, is above the cap
+            ({"indent": {"vertex": 25, "target_depth": 100}},
+             "20000 depth levels, above the cap of 1,000"),
         ],
-        ids=["indent-with-planes", "damping"],
+        ids=["indent-with-planes", "damping", "negative-depth", "two-levels", "default-levels-above-cap"],
     )
-    def test_scenario_refused_before_the_mesh_is_read(self, tmp_path, capsys, extra, message):
+    @pytest.mark.parametrize("present", [True, False], ids=["mesh", "absent-mesh"])
+    def test_scenario_refused_before_the_mesh_is_read(self, tmp_path, capsys, present, extra, message):
         path = self.scenario(tmp_path, extra)
+        mesh_path = tmp_path / "ball.obj"
+        if present:
+            save_mesh(icosphere(radius=0.13, subdivisions=1), mesh_path)
         code = main(
-            ["simulate", "--scenario", str(path), "--mesh", str(tmp_path / "missing.obj"),
+            ["simulate", "--scenario", str(path), "--mesh", str(mesh_path),
              "--out", str(tmp_path / "out")]
         )
         assert code == 2

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
@@ -689,11 +689,11 @@ def _records(n_vertices, n_faces):
     return lines
 
 
-def _write_blocks(tmp_path, lines, tail=b""):
+def _write_blocks(tmp_path, lines):
     """An OBJ file of more than one block of records."""
     assert sum(line.split()[0] in ("v", "f") for line in lines if line.split()) > BLOCK
     path = tmp_path / "blocks.obj"
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8") + tail)
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
     return path
 
 
@@ -706,6 +706,38 @@ def _assert_error_as_reference(path, line):
     assert f":{line}:" in str(err.value)
     if isinstance(err.value, ParseError):
         assert err.value.line == line
+
+
+# OBJ lines that parse, with indices in int64 (the reference has no bound)
+_COORD = st.sampled_from(["0", "1", "-0.5", "2.5e-3", "1e300", "+7", "1_0"])
+# mostly one of the first or last four vertices, one index in ten any int64
+_INDEX = st.integers(0, 9).flatmap(
+    lambda k: st.integers(-(2**63), 2**63 - 1) if k == 0 else st.integers(-4, 4).filter(bool)
+)
+_INDEX_TOKEN = st.builds("{}{}".format, _INDEX, st.sampled_from(["", "", "/1", "//2", "/1/2"]))
+_VERTEX_LINE = st.lists(_COORD, min_size=3, max_size=4).map(lambda c: " ".join(["v", *c]))
+# vertex lines twice as often as faces, so that more faces are in range
+GOOD_OBJ_LINE = st.one_of(
+    _VERTEX_LINE,
+    _VERTEX_LINE,
+    st.lists(_INDEX_TOKEN, min_size=3, max_size=6).map(lambda t: " ".join(["f", *t])),
+    st.sampled_from(["", "# c", "vt 0 0", "vn 0 0 1", "g side", " \t"]),
+)
+# one of each kind of bad record: short, non-numeric, non-finite,
+# non-integer, zero, and a zero beside a non-integer
+BAD_OBJ_LINE = st.sampled_from([
+    "v 1 2", "v", "f 1 2", "f", "v 0 z 1", "v 1/2 0 0", "v nan 0 0", "f 1 x 3", "f 1 2.5 3",
+    "f 1 2 /3", "f 1 0 3", "f 0/1 2 3", "f 1 0 x", "f 1 x 0",
+])
+
+
+def _outcome(load):
+    """The arrays load returns, or the type, message and line of its error."""
+    try:
+        mesh = load()
+    except (ParseError, ValidationError) as err:
+        return type(err), str(err), getattr(err, "line", None)
+    return mesh.vertices.tobytes(), mesh.faces.tobytes(), mesh.faces.shape
 
 
 class TestBlockParsing:
@@ -770,26 +802,83 @@ class TestBlockParsing:
             lines[k] = text
         _assert_error_as_reference(_write_blocks(tmp_path, lines), line)
 
+    @staticmethod
+    def _count_passes(monkeypatch):
+        """Per _obj_blocks call, its rows and the blocks converted while it reads."""
+        passes = []
+        obj_blocks, convert_block = geometry._obj_blocks, geometry._convert_block
+
+        def counting_obj_blocks(data, path, rows):
+            passes.append([rows, 0])
+            return obj_blocks(data, path, rows)
+
+        def counting_convert_block(*block):
+            passes[-1][1] += 1
+            return convert_block(*block)
+
+        monkeypatch.setattr(geometry, "_obj_blocks", counting_obj_blocks)
+        monkeypatch.setattr(geometry, "_convert_block", counting_convert_block)
+        return passes
+
     def test_valid_file_is_read_once(self, tmp_path, mesh_cache, monkeypatch):
-        # only a bad record sends the parse back to line 1
+        # only a bad record sends the parse back to read the file again
         lines = _records(3000, 2000) + ["f 1 2 3 4", "v 0.5 0.5 0.5", "f -1 -2 -3"]
         path = _write_blocks(tmp_path, lines)
-
-        def fail(data, path):
-            raise AssertionError("a valid file was read again")
-
-        monkeypatch.setattr(geometry, "_first_error", fail)
+        passes = self._count_passes(monkeypatch)
         vertices, faces = reference_load_mesh(path)
         mesh = load_mesh(path)
         np.testing.assert_array_equal(mesh.vertices, vertices)
         np.testing.assert_array_equal(mesh.faces, faces)
+        assert passes == [[BLOCK, 2]]
 
-    def test_bad_record_is_reported_before_later_undecodable_bytes(self, tmp_path, mesh_cache):
-        # the block holding the bad record fails before the decoder reaches
-        # the bytes that are not UTF-8
+    @pytest.mark.parametrize(
+        "record", [2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1800, 3 * BLOCK - 1],
+        ids=["last-of-a-block", "first-of-a-block", "mid-block", "last-line"],
+    )
+    def test_bad_file_is_reread_one_line_a_block_past_the_converted_blocks(
+        self, tmp_path, mesh_cache, monkeypatch, record
+    ):
+        lines = _records(3 * BLOCK - 2000, 2000)
+        lines[record] = "f 1 2 x"
+        path = _write_blocks(tmp_path, lines)
+        passes = self._count_passes(monkeypatch)
+        _assert_error_as_reference(path, record + 1)
+        # the second pass converts the failed block's lines up to the bad
+        # one, at most BLOCK of them
+        converted = record // BLOCK
+        assert passes == [[BLOCK, converted + 1], [1, record + 1 - converted * BLOCK]]
+
+    @given(
+        rows=st.integers(2, 5),
+        lines=st.lists(GOOD_OBJ_LINE, max_size=16),
+        bad=st.lists(st.tuples(st.integers(0, 16), BAD_OBJ_LINE), max_size=2),
+    )
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_small_blocks_parse_as_the_line_by_line_reference(
+        self, tmp_path, monkeypatch, rows, lines, bad
+    ):
+        # blocks of 2-5 lines break anywhere: before, at and after a bad line
+        monkeypatch.setattr(geometry, "SAVE_BLOCK_ROWS", rows)
+        monkeypatch.setattr(geometry, "_MESH_CACHE", geometry._MeshCache(geometry.MESH_CACHE_BYTES))
+        for at, line in bad:
+            lines = [*lines[:at], line, *lines[at:]]
+        path = tmp_path / "drawn.obj"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        expected = _outcome(lambda: TriMesh(*reference_load_mesh(path)))
+        assert _outcome(lambda: load_mesh(path)) == expected
+
+    @pytest.mark.parametrize("at", [2000, 3 * BLOCK + 10], ids=["in-the-failing-block", "past-the-blocks"])
+    def test_bad_record_is_reported_before_later_undecodable_bytes(self, tmp_path, mesh_cache, at):
+        # read one line a block, the bad record raises before the decoder
+        # reaches the bytes that are not UTF-8, even when they lie in the
+        # block that failed (past the decoder's first 8 KiB)
         lines = _records(3 * BLOCK, 10)
         lines[5] = "v 0 z 1"
-        _assert_error_as_reference(_write_blocks(tmp_path, lines, tail=b"\xff\n"), 6)
+        path = _write_blocks(tmp_path, lines)
+        rows = path.read_bytes().split(b"\n")
+        path.write_bytes(b"\n".join([*rows[:at], b"\xff", *rows[at:]]))
+        _assert_error_as_reference(path, 6)
 
     def test_parse_holds_a_few_times_its_arrays(self, tmp_path):
         path = tmp_path / "scan.obj"
