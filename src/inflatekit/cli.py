@@ -154,13 +154,13 @@ def _load_calibration(path) -> Calibration:
 
 
 def _radius_from_mesh(args) -> float:
-    if args.seed_vertex is None:
-        raise ValidationError("--seed-vertex is required with --mesh")
+    _check(args.seed_vertex is not None, "--seed-vertex is required with --mesh")
     # checked before the read, so that the exit code does not depend on the
-    # file; select_patch checks the vertex against the mesh
+    # file, and against the mesh once it is read
     integer("--seed-vertex", args.seed_vertex, 0, math.inf, IndexRangeError)
     hint = None if args.patch_radius is None else positive("--patch-radius", args.patch_radius)
     mesh = load_mesh(args.mesh)
+    integer("--seed-vertex", args.seed_vertex, 0, mesh.n_vertices - 1, IndexRangeError)
     if hint is None:
         bbox = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)
         hint = 0.25 * float(np.linalg.norm(bbox))
@@ -174,12 +174,15 @@ def cmd_estimate(args) -> int:
             "--wrinkles is required: count the radial wrinkles at deep "
             "indentation and pass the integer"
         )
-    if args.mesh is not None:
-        radius = _radius_from_mesh(args)
-    elif args.radius is not None:
+    # every flag is checked before a file is read
+    if args.mesh is None:
+        _check(args.radius is not None, "either --mesh (with --seed-vertex) or --radius required")
+        _check(args.seed_vertex is None, "--seed-vertex applies only with --mesh")
+        _check(args.patch_radius is None, "--patch-radius applies only with --mesh")
         radius = args.radius
     else:
-        raise ValidationError("either --mesh (with --seed-vertex) or --radius required")
+        _check(args.radius is None, "--radius applies only without --mesh")
+        radius = _radius_from_mesh(args)
     series = parse_series(args.series, radius, args.thickness)
     _warn_depth_units(series, args.series)
     cal = _load_calibration(args.calibration)
@@ -246,7 +249,9 @@ def _parse_scenario(path):
         if indent is not None:
             _table(indent, "indent", ("vertex", "target_depth"), _INDENT_OPTIONAL)
             indenter = Indenter(indent["vertex"], indent.get("axis", (0.0, 0.0, -1.0)))
-            target_depth, n_levels = _depth_levels(indent["target_depth"], indent.get("levels"))
+            target_depth, n_levels = _depth_levels(
+                indent["target_depth"], indent.get("levels"), "levels"
+            )
             indent = dict(indenter=indenter, target_depth=target_depth, n_levels=n_levels)
         planes = data.get("planes", [])
         _check(isinstance(planes, list), "planes must be a list")
@@ -368,14 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modulus", type=float, required=True, help="elastic modulus E (Pa)")
     p.add_argument("--pressure", type=float, required=True, help="gauge pressure Pg (Pa)")
     p.add_argument("--nu", type=float, default=DEFAULT_NU)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument(
-        "--membrane", dest="full", action="store_false", help="membrane limit (default)"
-    )
-    group.add_argument(
-        "--full", dest="full", action="store_true", help="include bending term"
-    )
-    p.set_defaults(full=False)
+    p.add_argument("--full", action="store_true", help="include bending term (else membrane limit)")
     p.add_argument("--W0", type=float, help="dimensionless indentation depth (<= 0)")
     p.add_argument(
         "--critical",

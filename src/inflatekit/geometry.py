@@ -58,7 +58,8 @@ MAX_SUBDIVISIONS = 8
 class TriMesh:
     """Indexed triangle mesh; vertices (n,3) float64, faces (m,3) int64.
 
-    Faces are counter-clockwise when viewed from outside.
+    Faces are counter-clockwise when viewed from outside.  The arrays are
+    read-only and the mesh's own: a caller's array and its flags are left alone.
     """
 
     vertices: np.ndarray
@@ -66,7 +67,6 @@ class TriMesh:
 
     def __post_init__(self):
         v, f = (_numeric(name, getattr(self, name)) for name in ("vertices", "faces"))
-        v = np.ascontiguousarray(v, dtype=np.float64)
         if f.dtype.kind == "f":
             # refuse 2.5, nan and inf instead of truncating them to an index
             with np.errstate(invalid="ignore"):
@@ -74,7 +74,10 @@ class TriMesh:
             if not np.array_equal(cast, f):
                 raise ValidationError("face indices must be integers")
             f = cast
-        f = np.ascontiguousarray(f, dtype=np.int64)
+        # copied unless already read-only, C-ordered and owning its data
+        v, f = (a if a.dtype == t and a.flags.c_contiguous and a.flags.owndata
+                and not a.flags.writeable else np.array(a, dtype=t, order="C")
+                for a, t in ((v, np.float64), (f, np.int64)))
         if v.ndim != 2 or v.shape[1] != 3:
             raise ValidationError(f"vertices must be (n,3), got {v.shape}")
         if f.ndim != 2 or f.shape[1] != 3:
@@ -289,11 +292,13 @@ def _parse_obj(data: bytes, path: Path) -> TriMesh:
     except (ParseError, IndexRangeError, UnicodeDecodeError):
         converted = len(blocks) * SAVE_BLOCK_ROWS
     else:
-        vertices = np.concatenate([v for v, _ in blocks])
+        vertices = np.concatenate([v.reshape(-1, 3) for v, _ in blocks])
         if not vertices.size:
             raise ParseError("no vertices in file", None, path)
         faces = np.concatenate([f for _, f in blocks])
-        return TriMesh(vertices=vertices.reshape(-1, 3), faces=faces)
+        vertices.setflags(write=False)  # read-only arrays of their own: no copy
+        faces.setflags(write=False)
+        return TriMesh(vertices=vertices, faces=faces)
     for block in _obj_blocks(data, path, 1):
         if block[0] > converted:
             _convert_block(*block, path)

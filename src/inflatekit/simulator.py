@@ -24,7 +24,7 @@ corners and one scatter of their forces.  SimState therefore keeps its
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -387,15 +387,11 @@ class SimState:
     # ((model, config), step constants) of the step that made this state;
     # contact_state refers to that config's planes (none if no step made it)
     _stepped: tuple = field(default=(None, None), repr=False, compare=False)
-    # False only for arrays the integrator has just built and never writes
-    # again: they are kept as given; a caller's arrays are copied
-    _copy: InitVar[bool] = True
 
-    def __post_init__(self, _copy):
+    def __post_init__(self):
         n = len(self._model.masses)
         for name in ("vertices", "velocities"):
-            a = getattr(self, name)
-            a = (np.array if _copy else np.asarray)(a, dtype=float, order="F")
+            a = np.array(getattr(self, name), dtype=float, order="F")
             if a.shape != (n, 3):
                 raise ValidationError(f"{name} must have shape ({n}, 3)")
             a.setflags(write=False)
@@ -463,9 +459,8 @@ def _advance(state: SimState, config: ScenarioConfig, n_steps: int, observe=None
     The one integrator: positions, velocities, time and contact state stay
     local (3, n) arrays and values between steps, and a SimState is built
     only for observe(k, state), called after step k = 1, every every-th
-    step after it and step n_steps, and for the result; each step builds
-    new x and v, so those states keep them without a copy.  Forces are taken
-    at the gas pressure of each step's own volume; a volume at or below
+    step after it and step n_steps, and for the result.  Forces are taken at
+    the gas pressure of each step's own volume; a volume at or below
     zero, a collapsed element or a non-finite state raises
     SimulationInstabilityError naming the frame, with numpy's warnings off
     (observe runs under the caller's).  Reuses the step constants state
@@ -537,10 +532,10 @@ def _advance(state: SimState, config: ScenarioConfig, n_steps: int, observe=None
                 with np.errstate(**caller):
                     observe(k, SimState(vertices=x.T, velocities=v.T, time=time,
                                         contact_state=tuple(contact), _model=model,
-                                        _stepped=((model, config), constants), _copy=False))
+                                        _stepped=((model, config), constants)))
 
         final = SimState(vertices=x.T, velocities=v.T, time=time, contact_state=tuple(contact),
-                         _model=model, _stepped=((model, config), constants), _copy=False)
+                         _model=model, _stepped=((model, config), constants))
         return final, tuple(episodes)
 
 
@@ -617,13 +612,14 @@ RELAX_MAX_ITER = 15_000
 SUPPORT_CAP_DEG = 30.0
 
 
-def _depth_levels(target_depth, n_levels) -> tuple:
+def _depth_levels(target_depth, n_levels, levels_name="n_levels") -> tuple:
     """indent_virtual's target_depth and n_levels, checked, with the default
-    level count ceil(target_depth / 5 mm), at least 3; at most MAX_LEVELS."""
+    level count ceil(target_depth / 5 mm), at least 3; at most MAX_LEVELS.
+    An error names the level count levels_name, as the caller's input does."""
     target_depth = positive("target_depth", target_depth, InsufficientDataError)
     if n_levels is None:
         n_levels = max(3, math.ceil(target_depth / 0.005))
-    n_levels = integer("n_levels", n_levels, 3, math.inf, InsufficientDataError)
+    n_levels = integer(levels_name, n_levels, 3, math.inf, InsufficientDataError)
     if n_levels > MAX_LEVELS:
         raise ValidationError(f"{show(n_levels)} depth levels, above the cap of {MAX_LEVELS:,}")
     return target_depth, n_levels

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from inflatekit import cli, errors, shell
+from inflatekit import cli, errors, geometry, shell
 from inflatekit.cli import main
 from inflatekit.geometry import TriMesh, icosphere, save_mesh
 from inflatekit.measurement import IndentationSample, IndentationSeries, serialize_series
@@ -254,6 +254,57 @@ class TestEstimate:
         )
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    # with the files absent, a flag checked after a read would exit 1
+    @pytest.mark.parametrize("present", [True, False], ids=["files", "absent-files"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--mesh", "MESH", "--seed-vertex", "0", "--patch-radius", "0.05", "--radius", "5.0"],
+             "--radius applies only without --mesh"),
+            (["--radius", "0.13", "--seed-vertex", "99999", "--patch-radius", "-1"],
+             "--seed-vertex applies only with --mesh"),
+            (["--radius", "0.13", "--patch-radius", "0.05"],
+             "--patch-radius applies only with --mesh"),
+        ],
+        ids=["mesh-and-radius", "seed-vertex-with-radius", "patch-radius-with-radius"],
+    )
+    def test_ignored_flag_is_refused_before_any_file_is_read(
+        self, tmp_path, capsys, present, flags, message
+    ):
+        target, mesh_path = tmp_path / "target.csv", tmp_path / "ball.obj"
+        if present:
+            write_calibration(tmp_path)
+            write_series(target, 1300.0)
+            save_mesh(icosphere(radius=R, subdivisions=2), mesh_path)
+            capsys.readouterr()
+        code = main(
+            [
+                "estimate",
+                "--series", str(target), "--calibration", str(tmp_path / "calibration.json"),
+                "--thickness", str(H), "--wrinkles", "8",
+                *(str(mesh_path) if flag == "MESH" else flag for flag in flags),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_seed_vertex_beyond_the_mesh_is_named(self, tmp_path, capsys):
+        cal_path = write_calibration(tmp_path)
+        target = write_series(tmp_path / "target.csv", 1300.0)
+        mesh_path = tmp_path / "ball.obj"
+        save_mesh(icosphere(radius=R, subdivisions=3), mesh_path)
+        capsys.readouterr()
+        code = main(
+            [
+                "estimate",
+                "--series", str(target), "--calibration", str(cal_path),
+                "--mesh", str(mesh_path), "--seed-vertex", "700",
+                "--thickness", str(H), "--wrinkles", "8",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: --seed-vertex must be in [0, 641], got 700\n")
 
     def test_neither_mesh_nor_radius_is_validation_error(self, tmp_path, capsys):
         cal_path = write_calibration(tmp_path)
@@ -744,9 +795,9 @@ class TestSolveShell:
 
     def test_critical_is_the_membrane_onset_for_both_systems(self, tmp_path):
         onsets = []
-        for system in ("--membrane", "--full"):
-            out = tmp_path / system.strip("-")
-            assert main(self.BASE + [system, "--critical", "--out", str(out)]) == 0
+        for system in ([], ["--full"]):
+            out = tmp_path / ("full" if system else "membrane")
+            assert main(self.BASE + [*system, "--critical", "--out", str(out)]) == 0
             onsets.append(json.loads((out / "diagnostics.json").read_text())["critical_W0"])
         assert onsets[0] == onsets[1]
         assert onsets[0] == pytest.approx(-2.5306, abs=1e-4)
@@ -802,6 +853,15 @@ class TestSolveShell:
         assert code == 3
         assert capsys.readouterr().err == "error: BVP solver failed at W0=-0.001953125 (forced failure)\n"
         assert not (tmp_path / "profile.csv").exists()
+
+    def test_onset_search_without_a_sign_change_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a continuation that never leaves the unindented state: its hoop
+        # stress is 1/2 everywhere, at W0 = 0 and at -6 alike
+        monkeypatch.setattr(shell._ContinuationState, "continue_to", lambda self, W0: None)
+        code = main(self.BASE + ["--critical", "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr() == ("", "error: no compressive hoop stress found down to W0 = -6\n")
+        assert not (tmp_path / "out").exists()
 
 
 def _mostly(ordinary, other, one_in=8):
@@ -1108,12 +1168,15 @@ class TestSimulate:
             ({"indent": {"vertex": 25, "target_depth": -1}},
              "target_depth must be finite and > 0, got -1"),
             ({"indent": {"vertex": 25, "target_depth": 0.01, "levels": 2}},
-             "n_levels must be in [3, inf], got 2"),
+             "levels must be in [3, inf], got 2"),
+            ({"indent": {"vertex": 25, "target_depth": 0.01, "levels": 2.5}},
+             "levels must be an integer, got 2.5"),
             # the default level count, one per 5 mm, is above the cap
             ({"indent": {"vertex": 25, "target_depth": 100}},
              "20000 depth levels, above the cap of 1,000"),
         ],
-        ids=["indent-with-planes", "damping", "negative-depth", "two-levels", "default-levels-above-cap"],
+        ids=["indent-with-planes", "damping", "negative-depth", "two-levels", "fractional-levels",
+             "default-levels-above-cap"],
     )
     @pytest.mark.parametrize("present", [True, False], ids=["mesh", "absent-mesh"])
     def test_scenario_refused_before_the_mesh_is_read(self, tmp_path, capsys, present, extra, message):
@@ -1203,6 +1266,15 @@ class TestMeshInfo:
 
     def test_missing_mesh_is_io_error(self, tmp_path):
         assert main(["mesh-info", "--mesh", str(tmp_path / "nope.obj")]) == 1
+
+    def test_bad_record_in_the_second_block_names_its_line(self, tmp_path, capsys):
+        lines = [f"v {k} 0 1" for k in range(5000)]
+        lines[4300] = "v 0 z 1"
+        assert geometry.SAVE_BLOCK_ROWS < 4301 <= 2 * geometry.SAVE_BLOCK_ROWS
+        mesh_path = tmp_path / "second_block.obj"
+        mesh_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["mesh-info", "--mesh", str(mesh_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {mesh_path}:4301: non-numeric vertex\n")
 
 
 # every error class of inflatekit.errors, each exiting with its exit_code

@@ -22,6 +22,7 @@ from inflatekit.errors import (
     ValidationError,
 )
 from inflatekit.geometry import (
+    SurfacePatch,
     TriMesh,
     box_mesh,
     enclosed_volume,
@@ -86,8 +87,11 @@ class TestLoadMesh:
             path = tmp_path / f"{mesh.n_vertices}.obj"
             save_mesh(mesh, path)
             again = load_mesh(path)
-            np.testing.assert_array_equal(again.vertices, mesh.vertices)
-            np.testing.assert_array_equal(again.faces, mesh.faces)
+            # bit for bit: tobytes() also tells -0.0 from 0.0
+            for name in ("vertices", "faces"):
+                got, want = getattr(again, name), getattr(mesh, name)
+                assert (got.shape, got.dtype) == (want.shape, want.dtype), name
+                assert got.tobytes() == want.tobytes(), name
         assert mesh.n_vertices > 2 * geometry.SAVE_BLOCK_ROWS
 
 
@@ -130,6 +134,13 @@ class TestSelectPatch:
         with pytest.raises(ValidationError, match=f"radius_hint must be finite and > 0, got {radius_hint}"):
             select_patch(mesh, seed=0, radius_hint=radius_hint)
 
+    def test_seed_outside_the_patch_refused(self):
+        mesh = icosphere(radius=1.0, subdivisions=3)
+        patch = select_patch(mesh, seed=0, radius_hint=0.5)
+        outside = min(set(range(mesh.n_vertices)) - set(patch.vertex_ids))
+        with pytest.raises(ValidationError, match="^seed must be a member of the patch$"):
+            SurfacePatch(mesh=mesh, vertex_ids=patch.vertex_ids, seed=outside, radius_hint=0.5)
+
     def test_patch_grows_with_radius(self):
         mesh = icosphere(radius=1.0, subdivisions=3)
         small = set(select_patch(mesh, 0, 0.3).vertex_ids)
@@ -139,6 +150,16 @@ class TestSelectPatch:
 
 
 class TestFitCurvature:
+    def test_non_uniform_curvature_warns(self):
+        # a spheroid five times wider than tall, whole: no sphere fits it
+        ball = icosphere(radius=1.0, subdivisions=2)
+        spheroid = ball.with_vertices(ball.vertices * [1.0, 1.0, 0.2])
+        patch = select_patch(spheroid, seed=0, radius_hint=10.0)
+        assert len(patch.vertex_ids) == spheroid.n_vertices
+        with pytest.warns(UserWarning, match="patch curvature is non-uniform"):
+            fit = fit_curvature(patch)
+        assert fit["rms_residual"] > geometry.CURVATURE_RESIDUAL_WARN * fit["radius"]
+
     def test_icosphere_radius_within_two_percent(self):
         mesh = icosphere(radius=1.0, subdivisions=3)
         patch = select_patch(mesh, seed=0, radius_hint=0.5)
@@ -253,6 +274,36 @@ class TestTriMesh:
         mesh = TriMesh(vertices=icosahedron().vertices, faces=icosahedron().faces.astype(float))
         assert mesh.faces.dtype == np.int64
         np.testing.assert_array_equal(mesh.faces, icosahedron().faces)
+
+    @pytest.mark.parametrize("case", ["C", "F", "read-only-view"])
+    def test_caller_arrays_are_copied(self, case):
+        ball = icosahedron()
+        big = np.concatenate([ball.vertices, np.ones((4, 3))])
+        if case == "read-only-view":
+            v = big[:12]
+            v.setflags(write=False)  # read-only, but big can still write it
+        else:
+            v = np.array(ball.vertices, order=case)
+        f = np.array(ball.faces, order="F" if case == "F" else "C")
+        mesh = TriMesh(vertices=v, faces=f)
+        assert f.flags.writeable
+        assert v.flags.writeable == (case != "read-only-view")
+        edges, adjacency = mesh.boundary_edges(), mesh._adjacency
+        for array in (mesh.vertices, mesh.faces):
+            assert not array.flags.writeable
+            assert array.flags.c_contiguous
+            assert not any(np.shares_memory(array, a) for a in (v, f, big))
+        (big if case == "read-only-view" else v)[0, 0] = 5.0
+        f[0] = f[1]
+        np.testing.assert_array_equal(mesh.vertices, ball.vertices)
+        np.testing.assert_array_equal(mesh.faces, ball.faces)
+        assert mesh.boundary_edges() == edges
+        assert all(map(np.array_equal, mesh._adjacency, adjacency))
+
+    def test_read_only_arrays_of_its_own_are_kept(self):
+        ball = icosphere(radius=1.0, subdivisions=1)
+        moved = ball.with_vertices(ball.vertices)
+        assert moved.vertices is ball.vertices and moved.faces is ball.faces
 
     def test_watertight_flags(self):
         mesh = icosphere(radius=1.0, subdivisions=1)

@@ -557,6 +557,21 @@ class TestCapProfile:
 
 
 class TestShellSolutionInvariants:
+    @pytest.mark.parametrize(
+        "rho", [np.linspace(0.0, 30.0, 500), np.linspace(30.0, 0.03, 500)],
+        ids=["from-zero", "descending"],
+    )
+    def test_rho_order_enforced(self, rho):
+        with pytest.raises(ValidationError, match="rho grid must be strictly increasing"):
+            ShellSolution(rho=rho, W=np.zeros_like(rho), Psi=rho / 2.0,
+                          hoop_stress=np.full_like(rho, 0.5), W0=0.0, force=0.0)
+
+    def test_far_field_psi_enforced(self):
+        rho = np.linspace(0.03, 30.0, 500)
+        with pytest.raises(ValidationError, match="far field Psi"):
+            ShellSolution(rho=rho, W=np.zeros_like(rho), Psi=rho / 2.0 + 0.1,
+                          hoop_stress=np.full_like(rho, 0.5), W0=0.0, force=0.0)
+
     def test_far_field_enforced(self):
         rho = np.linspace(0.03, 30.0, 500)
         with pytest.raises(ValidationError, match="far field"):

@@ -138,6 +138,23 @@ class TestLbfgs:
         x, iterations = lbfgs(lambda x: (1.0, np.ones_like(x)), np.zeros(2), 1e-8, 100)
         assert iterations == 0 and np.array_equal(x, np.zeros(2))
 
+    def test_non_descent_direction_restarts_from_the_gradient(self):
+        # y.y / y.s of the first correction overflows, so the two-loop
+        # direction scales to zero, which does not descend; the restart
+        # steps along -g to the minimum
+        points = {
+            (0.0, 0.0): (0.0, (1e-10, 0.0)),
+            (-1.0, 0.0): (-1.0, (0.0, 1e150)),
+            (-1.0, -1.0): (-1e150, (0.0, 0.0)),
+        }
+
+        def fun(x):
+            f, g = points.get(tuple(x.tolist()), (math.inf, (0.0, 0.0)))
+            return f, np.array(g)
+
+        x, iterations = lbfgs(fun, np.zeros(2), 1e-12, 10)
+        assert x.tolist() == [-1.0, -1.0] and iterations == 2
+
     def test_infinite_values_are_backtracked_from(self):
         # the domain is x > 0: the first trial step of unit length leaves it
         def fun(x):
@@ -314,6 +331,38 @@ class TestSolveBvp:
         assert (sol.status, sol.niter, len(sol.x)) == (want.status, want.niter, len(want.x))
         np.testing.assert_allclose(sol.y, want.y, rtol=1e-9, atol=1e-10)
         np.testing.assert_allclose(sol.sol(fine), want.sol(fine), rtol=1e-9, atol=1e-10)
+
+    def test_non_increasing_mesh_refused(self):
+        fun, jac, bc, bc_jac, _, guess, p, tol = KNOWN["sine"]
+        for x in (np.array([0.0, 0.5, 0.5, 1.0]), np.array([0.0, 1.0, 0.5, 1.5])):
+            with pytest.raises(ValueError, match="x must be strictly increasing"):
+                solve_bvp(fun, bc, x, guess(x), fun_jac=jac, bc_jac=bc_jac)
+            with pytest.raises(ValueError, match="strictly increasing"):
+                scipy.integrate.solve_bvp(lambda x, y: fun(x, y, p), lambda ya, yb: bc(ya, yb, p),
+                                          x, guess(x))
+
+    def test_unmet_boundary_condition_is_status_3_as_in_scipy(self):
+        # y' = 0 with y(0)^2 + 1 = 0, which no real y meets: the collocation
+        # residual stays zero, so no node is added, and Newton wanders on
+        # each mesh (chaotically: the final y is not compared)
+        def fun(x, y, p):
+            return np.zeros_like(y)
+
+        def jac(x, y, p):
+            return np.zeros((1, 1, len(x))), np.zeros((1, 0, len(x)))
+
+        def bc(ya, yb, p):
+            return ya**2 + 1.0
+
+        def bc_jac(ya, yb, p):
+            return 2.0 * ya[:, None], np.zeros((1, 1)), np.zeros((1, 0))
+
+        x, y = np.linspace(0.0, 1.0, 5), np.ones((1, 5))
+        sol = solve_bvp(fun, bc, x, y, fun_jac=jac, bc_jac=bc_jac)
+        want = scipy.integrate.solve_bvp(lambda x, y: fun(x, y, None),
+                                         lambda ya, yb: bc(ya, yb, None), x, y)
+        assert (sol.status, sol.niter, len(sol.x)) == (want.status, want.niter, len(want.x))
+        assert (sol.status, sol.niter, sol.message) == (3, _bvp.MAX_ITERATION, want.message)
 
     def test_node_cap_is_status_1(self):
         fun, jac, bc, bc_jac, x, guess, p, tol = KNOWN["layer"]
