@@ -174,7 +174,7 @@ def cmd_estimate(args) -> int:
             "--wrinkles is required: count the radial wrinkles at deep "
             "indentation and pass the integer"
         )
-    # every flag is checked before a file is read
+    # flags are checked before a file is read, but --seed-vertex's upper bound needs the mesh
     if args.mesh is None:
         _check(args.radius is not None, "either --mesh (with --seed-vertex) or --radius required")
         _check(args.seed_vertex is None, "--seed-vertex applies only with --mesh")
